@@ -137,4 +137,39 @@ proptest! {
         prop_assert_eq!(stats.tail_latency_s, slow.tail_latency(99.0));
         prop_assert_eq!(stats.makespan, slow.makespan);
     }
+
+    /// Pool sizes that are and are not powers of two, up to 200 instances, spread over
+    /// 1–3 types: the dispatcher's padding and tree depth change across these sizes,
+    /// and its choices must still equal the reference scan's.
+    #[test]
+    fn prop_scheduler_matches_the_reference_scan_across_pool_sizes(
+        size in [1u32, 2, 3, 5, 17, 64, 200].as_slice(),
+        split_a in 0.0f64..1.0,
+        split_b in 0.0f64..1.0,
+        type_offset in 0usize..8,
+        load in 0.3f64..1.5,
+        n in 1usize..1500,
+        seed in 0u64..1000,
+    ) {
+        // Split `size` instances over three rotated catalog types (some counts may be 0).
+        let first = (size as f64 * split_a) as u32;
+        let second = ((size - first) as f64 * split_b) as u32;
+        let counts = vec![first, second, size - first - second];
+        let types: Vec<InstanceType> = (0..3)
+            .map(|i| ALL_INSTANCE_TYPES[(type_offset + 3 * i) % ALL_INSTANCE_TYPES.len()])
+            .collect();
+        let pool = PoolSpec::from_counts(&types, &counts);
+        // Offered load scales with the pool so large pools also queue.
+        let queries = query_stream(load * 120.0 * size as f64, n, seed);
+        let profile = ribbon_models::ModelProfile::new(ModelKind::MtWnd);
+
+        let fast = simulate(&pool, &queries, &profile);
+        let slow = sim::reference::simulate(&pool, &queries, &profile);
+        prop_assert_eq!(&fast.latencies, &slow.latencies, "size {}", size);
+        prop_assert_eq!(&fast.assigned_instance, &slow.assigned_instance, "size {}", size);
+        prop_assert_eq!(fast.makespan, slow.makespan);
+        let stats = simulate_stats(&pool, &queries, &profile, 0.02, 99.0);
+        prop_assert_eq!(stats.mean_latency_s, slow.mean_latency());
+        prop_assert_eq!(stats.tail_latency_s, slow.tail_latency(99.0));
+    }
 }

@@ -3,7 +3,8 @@
 //! 1. **flash-crowd acceptance** — the bundled `mtwnd_tiered_flash.toml` scenario must
 //!    shield the premium tier through the surge (zero admission drops, every window
 //!    with premium evidence at or above the premium target) while the best-effort tier
-//!    absorbs the overflow at admission (drops > 0);
+//!    absorbs the overflow at admission (drops > 0); its per-tier outcome and cost,
+//!    and those of the bundled `fleet_tiered_mix.toml` serve, are pinned as literals;
 //! 2. **single-tier identity** — a spec with one default-`standard` tier is the
 //!    untiered semantics exactly: it compiles its tier set away, the streaming
 //!    simulator reproduces the untiered run bit for bit, and a single-tier fleet
@@ -116,6 +117,70 @@ fn tiered_flash_crowd_shields_premium_while_best_effort_sheds() {
     // Per-tier totals partition the served stream.
     let served: u64 = outcome.tier_totals.iter().map(|t| t.served).sum();
     assert_eq!(served, outcome.stats.num_queries as u64);
+}
+
+#[test]
+fn tiered_flash_crowd_serve_is_pinned() {
+    // Literal pins of multi-tier dispatch on the bundled flash crowd: premium
+    // overtaking, best-effort admission drops and the exact per-slot billing.
+    let scenario = load("scenarios/mtwnd_tiered_flash.toml");
+    let outcome = serve_online_tiered(
+        &scenario.workload,
+        scenario.traffic.as_ref().expect("serve mode has traffic"),
+        &scenario.online_settings,
+        scenario.spec.seed,
+        scenario.policy.clone(),
+        scenario.tiers.clone(),
+    )
+    .expect("bootstrap converges");
+    // (served, satisfied, admission drops, preemptions) per tier, in set order.
+    let counts: Vec<_> = outcome
+        .tier_totals
+        .iter()
+        .map(|t| (t.served, t.satisfied, t.admission_drops, t.preemptions))
+        .collect();
+    assert_eq!(
+        counts,
+        vec![
+            (18904, 18861, 0, 15375),
+            (47260, 46983, 0, 0),
+            (27901, 27722, 455, 0),
+        ]
+    );
+    assert_eq!(outcome.total_cost_usd.to_bits(), 0x3faa_4256_5741_b2a6);
+}
+
+#[test]
+fn tiered_fleet_mix_serve_is_pinned() {
+    // Literal pins of the tiered fleet: the tiered MT-WND member and the untiered
+    // DIEN member share one tiered shared slice, so these cover lane and shared
+    // dispatch of every admission class plus the fleet-wide billing.
+    let path = repo_root().join("scenarios/fleet_tiered_mix.toml");
+    let fleet = ribbon::fleet::Fleet::load(&path.to_string_lossy()).expect("the fleet loads");
+    let report = RibbonFleetPlanner.serve(&fleet).expect("the fleet serves");
+    let serves: Vec<_> = report
+        .models
+        .iter()
+        .map(|m| m.serve.as_ref().expect("serve mode"))
+        .collect();
+    let shared: Vec<usize> = serves.iter().map(|s| s.shared_queries).collect();
+    assert_eq!(shared, vec![31789, 23635]);
+    let counts: Vec<_> = serves[0]
+        .tiers
+        .iter()
+        .map(|t| (t.served, t.satisfied, t.admission_drops, t.preemptions))
+        .collect();
+    assert_eq!(
+        counts,
+        vec![
+            (13564, 13449, 0, 10995),
+            (24415, 24215, 0, 0),
+            (16268, 16117, 8, 0),
+        ]
+    );
+    assert!(serves[1].tiers.is_empty(), "DIEN is untiered");
+    let totals = report.serve.as_ref().expect("serve totals");
+    assert_eq!(totals.total_cost_usd.to_bits(), 0x3fab_b0a7_9f60_a052);
 }
 
 // ---------------------------------------------------------------------------
