@@ -1,6 +1,6 @@
 //! Shared infrastructure for the experiment binaries that regenerate the paper's tables and
-//! figures (`src/bin/fig*.rs`, `table*.rs`) and for the Criterion micro-benchmarks
-//! (`benches/`).
+//! figures (`src/bin/fig*.rs`, `table*.rs`) and for the `perfsnap` snapshot harness
+//! ([`perf`]).
 //!
 //! Every experiment binary prints a plain-text table with the same rows/series as the
 //! corresponding paper figure; EXPERIMENTS.md records the paper-vs-measured comparison.

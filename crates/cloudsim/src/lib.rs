@@ -11,9 +11,10 @@
 //!   size)` pairs, with load-scaling support for the Fig. 16 experiments;
 //! * the **FCFS pool simulator** ([`sim`]) — queries are served first-come-first-serve by the
 //!   first available instance following the pool's type order, as described in Sec. 5.1,
-//!   scheduled by an O(Q·log N) event queue (see the [`sim`] module docs for the heap
-//!   invariants) with a lean aggregate-statistics fast path ([`simulate_stats`]) and the
-//!   O(Q·N) reference scan kept as a differential oracle ([`sim::reference`]);
+//!   dispatched in O(log N) per query by the min-tree slot queue every serving path shares
+//!   (see the [`sim`] module docs), with a lean aggregate-statistics fast path
+//!   ([`simulate_stats`]) and the O(Q·N) reference scan kept as a differential oracle
+//!   ([`sim::reference`]);
 //! * **metrics** ([`metrics`]) — mean/percentile latency, QoS satisfaction rate, throughput,
 //!   and cost accounting;
 //! * **phased traffic** ([`phased`]) — piecewise-constant (diurnal / spike / ramp / step)
@@ -27,14 +28,14 @@
 //!   weighted routing, per-model windowed monitoring, and per-model-slice
 //!   reconfiguration;
 //! * the **parallel engine** ([`parallel`]) — an order-preserving, deterministic parallel map
-//!   over OS threads that every batch evaluation in the workspace funnels through
-//!   ([`simulate_many`] is the simulator-level entry point).
+//!   over OS threads that every batch evaluation in the workspace funnels through.
 //!
 //! The mapping from `(instance type, model, batch size)` to a service time is *not* part of
 //! this crate: it is abstracted behind the [`latency::LatencyModel`] trait and implemented by
 //! `ribbon-models`, which holds the calibrated synthetic profiles.
 
 pub mod catalog;
+mod dispatch;
 pub mod dist;
 pub mod error;
 pub mod instance;
@@ -48,6 +49,7 @@ pub mod sharded;
 pub mod sim;
 pub mod streaming;
 pub mod tier;
+mod window;
 
 pub use catalog::{Catalog, CatalogEntry, VariantCatalog, VariantEntry};
 pub use error::ConfigError;
@@ -66,7 +68,7 @@ pub use sharded::{
     partition_groups, simulate_fleet_serial, simulate_fleet_sharded, tag_tier, tier_assigners,
     FleetRunOutcome,
 };
-pub use sim::{simulate, simulate_many, simulate_stats, PoolSimulator, SimResult, SimStats};
+pub use sim::{simulate, simulate_stats, SimResult, SimStats};
 pub use streaming::{
     cost_from_billing, Reconfiguration, SlotBilling, StreamingSim, StreamingSimConfig, TierPush,
     WindowConfig, WindowStats,

@@ -2,7 +2,7 @@
 //!
 //! A *fleet* serves several models at once on one jointly-provisioned pool. Each
 //! instance slot is either **dedicated** to one model (its "lane": a per-model
-//! [`StreamingSim`] slice of the pool) or **shared** (a [`SharedServer`] slot that serves
+//! [`Lane`] slice of the pool) or **shared** (a [`SharedServer`] slot that serves
 //! queries of *any* model, using the arriving query's own latency profile). Queries are
 //! tagged with their model ([`TaggedQuery`]) and the [`FleetSim`] router dispatches each
 //! one:
@@ -20,29 +20,27 @@
 //!
 //! # Per-model monitoring and bit-identity
 //!
-//! The router keeps per-model window accounting (arrival-attributed, same window
-//! semantics as [`StreamingSim`]) covering *both* the lane and the shared slice, so a
-//! fleet controller can watch each model's QoS independently even when its queries are
-//! split across slots. Window cost fields report **fleet-wide** accrued cost and hourly
-//! cost — the quantity a joint planner optimizes.
+//! Lanes and the shared slice dispatch through the same FCFS slot queue as every other
+//! serving path. Each model has one window accumulator — the one a
+//! [`StreamingSim`](crate::StreamingSim) uses — covering *both* its lane and the shared
+//! slice, so a fleet controller can watch each model's QoS independently even when its
+//! queries are split across slots. Window cost fields report **fleet-wide** accrued
+//! cost and hourly cost — the quantity a joint planner optimizes.
 //!
 //! For a fleet with a **single model and no shared slots**, every dispatch, latency,
 //! window statistic, and cost of `FleetSim` is bit-identical to driving that model's
-//! [`StreamingSim`] directly (the windows replicate
-//! `StreamingSim`'s accumulation order exactly, and the fleet-wide sums reduce to the
-//! single lane's values). The differential suite in `tests/fleet_serving.rs` pins this.
+//! [`StreamingSim`](crate::StreamingSim) directly (both pair a [`Lane`] with the same
+//! window accumulator, and the fleet-wide sums reduce to the single lane's values). The
+//! differential suite in `tests/fleet_serving.rs` pins this.
 
-use crate::instance::PoolSpec;
+use crate::dispatch::{Dispatch, SlotQueue};
+use crate::instance::{InstanceType, PoolSpec};
 use crate::latency::LatencyModel;
 use crate::query::Query;
 use crate::sim::SimStats;
-use crate::streaming::{
-    Reconfiguration, SlotBilling, StreamingSim, StreamingSimConfig, TierLedger, TierPush,
-    WindowBuf, WindowConfig, WindowStats,
-};
+use crate::streaming::{Lane, Reconfiguration, SlotBilling, WindowConfig, WindowStats};
 use crate::tier::{AdmissionClass, TierSet, TierTotals};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::window::WindowAccumulator;
 
 /// A query tagged with the index of the fleet model it belongs to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,85 +218,16 @@ pub struct VariantSwitch {
     pub to: u32,
 }
 
-/// A shared busy slot: min-heap by `(free_at, rank)` via reversed comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SharedBusy {
-    free_at: f64,
-    rank: usize,
-    slot: usize,
-}
-
-impl Eq for SharedBusy {}
-
-impl Ord for SharedBusy {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .free_at
-            .total_cmp(&self.free_at)
-            .then_with(|| other.rank.cmp(&self.rank))
-    }
-}
-
-impl PartialOrd for SharedBusy {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Earliest start time at or after `at` under per-slot clocks: `at` when some clock is
-/// at or before `at`, otherwise the minimum clock.
-fn scan_clocks(clocks: &[f64], at: f64) -> f64 {
-    let mut earliest = f64::INFINITY;
-    for &c in clocks {
-        if c <= at {
-            return at;
-        }
-        if c < earliest {
-            earliest = c;
-        }
-    }
-    if earliest.is_finite() {
-        earliest
-    } else {
-        at
-    }
-}
-
-/// Tiered shared-slot selection under per-slot clocks, replicating the two-heap rule:
-/// the lowest-indexed slot whose clock is at or before `arrival` starts it at
-/// `arrival`; otherwise the slot minimising `(clock, index)` (via `total_cmp`) starts
-/// it at its clock. Shared-slot ranks equal indices (the slice never reconfigures).
-fn select_shared(clocks: &[f64], arrival: f64) -> (usize, f64) {
-    for (i, &c) in clocks.iter().enumerate() {
-        if c <= arrival {
-            return (i, arrival);
-        }
-    }
-    let mut best = 0usize;
-    for i in 1..clocks.len() {
-        if clocks[i].total_cmp(&clocks[best]) == std::cmp::Ordering::Less {
-            best = i;
-        }
-    }
-    (best, clocks[best])
-}
-
 /// The shared slice of a fleet pool: slots that serve queries of *any* model, each query
-/// timed by its own model's latency profile. Same two-heap FCFS dispatch as the
-/// single-model simulator; no mid-stream reconfiguration (the shared slice is sized by
-/// the joint planner and stays fixed for a run).
+/// timed by its own model's latency profile, through the same FCFS dispatcher as a lane.
+/// No mid-stream reconfiguration (the shared slice is sized by the joint planner and
+/// stays fixed for a run).
 pub struct SharedServer<'a> {
     pool: PoolSpec,
     profiles: Vec<&'a dyn LatencyModel>,
-    types: Vec<crate::instance::InstanceType>,
+    types: Vec<InstanceType>,
     load: Vec<u64>,
-    idle: BinaryHeap<Reverse<(usize, usize)>>,
-    busy: BinaryHeap<SharedBusy>,
-    // Tiered clocks (see `enable_tiered_clocks`): per-slot full and firm completion
-    // times. Empty until tiered mode is enabled; from then on the heaps are bypassed.
-    tiered: bool,
-    free_at: Vec<f64>,
-    firm_free_at: Vec<f64>,
+    queue: SlotQueue,
 }
 
 impl<'a> SharedServer<'a> {
@@ -307,39 +236,14 @@ impl<'a> SharedServer<'a> {
     /// # Panics
     /// Panics if the pool is empty.
     pub fn new(pool: &PoolSpec, profiles: Vec<&'a dyn LatencyModel>) -> Self {
-        let types = pool.expand();
-        assert!(
-            !types.is_empty(),
-            "cannot build a shared slice from an empty pool ({})",
-            pool.describe()
-        );
-        let n = types.len();
+        let types = crate::sim::serving_instances(pool);
         SharedServer {
             pool: pool.clone(),
             profiles,
-            load: vec![0; n],
-            idle: (0..n).map(|i| Reverse((i, i))).collect(),
-            busy: BinaryHeap::new(),
+            load: vec![0; types.len()],
+            queue: SlotQueue::new(types.len()),
             types,
-            tiered: false,
-            free_at: Vec::new(),
-            firm_free_at: Vec::new(),
         }
-    }
-
-    /// Switches the shared slice to tiered dispatch: per-slot full and firm clocks
-    /// replace the two heaps, so premium queries (of any model) can overtake queued
-    /// best-effort work. Must be called before the first push. A fleet whose every
-    /// query dispatches as standard behaves bit-identically to the untiered heaps.
-    pub(crate) fn enable_tiered_clocks(&mut self) {
-        debug_assert!(
-            self.load.iter().all(|&l| l == 0),
-            "tiered clocks must be enabled before the first shared dispatch"
-        );
-        let n = self.types.len();
-        self.tiered = true;
-        self.free_at = vec![0.0; n];
-        self.firm_free_at = vec![0.0; n];
     }
 
     /// The shared pool.
@@ -352,104 +256,28 @@ impl<'a> SharedServer<'a> {
         &self.load
     }
 
-    /// Earliest time at or after `at` when a shared slot could start a query.
-    pub fn next_available_at(&self, at: f64) -> f64 {
-        if self.tiered {
-            return scan_clocks(&self.free_at, at);
-        }
-        if !self.idle.is_empty() {
-            return at;
-        }
-        match self.busy.peek() {
-            Some(b) => b.free_at.max(at),
-            None => at,
-        }
+    /// Earliest time at or after `at` when a shared slot could start a query of `class`
+    /// (in a tiered fleet, premium waits only on the firm clocks).
+    pub fn next_available_at(&self, at: f64, class: AdmissionClass) -> f64 {
+        self.queue.next_available_at(at, class)
     }
 
-    /// Earliest time at or after `at` when a shared slot could start a *premium*
-    /// query — it waits only on the firm clock. Untiered slices answer like
-    /// [`SharedServer::next_available_at`].
-    pub fn next_available_at_premium(&self, at: f64) -> f64 {
-        if self.tiered {
-            return scan_clocks(&self.firm_free_at, at);
-        }
-        self.next_available_at(at)
-    }
-
-    /// Dispatches one query of `model`, returning `(completion, latency)`.
-    fn push(&mut self, model: usize, q: &Query) -> (f64, f64) {
-        while let Some(top) = self.busy.peek() {
-            if top.free_at <= q.arrival {
-                let b = self.busy.pop().expect("peeked entry exists");
-                self.idle.push(Reverse((b.rank, b.slot)));
-            } else {
-                break;
-            }
-        }
-        let (slot, start) = match self.idle.pop() {
-            Some(Reverse((_, slot))) => (slot, q.arrival),
-            None => {
-                let b = self
-                    .busy
-                    .pop()
-                    .expect("non-empty shared slice has a busy slot");
-                (b.slot, b.free_at)
-            }
-        };
-        let service = self.profiles[model]
-            .service_time(self.types[slot], q.batch_size)
-            .max(0.0);
-        let completion = start + service;
-        self.load[slot] += 1;
-        self.busy.push(SharedBusy {
-            free_at: completion,
-            rank: slot,
-            slot,
-        });
-        (completion, completion - q.arrival)
-    }
-
-    /// Tiered dispatch of one query of `model`: premium dispatches against the firm
-    /// clocks and may overtake (preempt) queued best-effort work; best-effort honours
-    /// `cap` (its admission cap) and never advances the firm clocks; standard is the
-    /// plain FCFS rule. Returns `None` when the query was dropped at admission,
-    /// otherwise `(completion, latency, preempted)`.
-    fn push_tiered(
+    /// Dispatches one query of `model`; `None` when it is dropped at admission.
+    fn dispatch(
         &mut self,
         model: usize,
         q: &Query,
         class: AdmissionClass,
         cap: Option<f64>,
-    ) -> Option<(f64, f64, bool)> {
-        debug_assert!(self.tiered, "tiered shared dispatch needs tiered clocks");
-        let (slot, start) = match class {
-            AdmissionClass::Premium => select_shared(&self.firm_free_at, q.arrival),
-            _ => select_shared(&self.free_at, q.arrival),
-        };
-        if class == AdmissionClass::BestEffort {
-            if let Some(cap) = cap {
-                if start - q.arrival > cap {
-                    return None;
-                }
-            }
+    ) -> Option<Dispatch> {
+        let (profile, types) = (self.profiles[model], &self.types);
+        let served = self.queue.dispatch(q.arrival, class, cap, |slot| {
+            profile.service_time(types[slot], q.batch_size).max(0.0)
+        });
+        if let Some(d) = &served {
+            self.load[d.slot] += 1;
         }
-        let preempted = class == AdmissionClass::Premium && start < self.free_at[slot];
-        let service = self.profiles[model]
-            .service_time(self.types[slot], q.batch_size)
-            .max(0.0);
-        let completion = start + service;
-        if preempted {
-            // Forward-only preemption: the displaced best-effort backlog is pushed
-            // back by the premium query's service time (see the tier module docs).
-            self.free_at[slot] += service;
-        } else {
-            self.free_at[slot] = completion;
-        }
-        if class != AdmissionClass::BestEffort {
-            self.firm_free_at[slot] = completion;
-        }
-        self.load[slot] += 1;
-        Some((completion, completion - q.arrival, preempted))
+        served
     }
 
     /// Accrued cost of the (static) shared slice up to `t`.
@@ -458,44 +286,21 @@ impl<'a> SharedServer<'a> {
     }
 }
 
-/// Where a query was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// The model's dedicated lane.
-    Dedicated,
-    /// The fleet's shared slice.
-    Shared,
-}
-
-struct ModelState<'a> {
-    lane: Option<StreamingSim<'a, dyn LatencyModel + 'a>>,
+/// One fleet member's serving side: its dedicated lane, if any, and its routing state.
+struct Member<'a> {
+    lane: Option<Lane<'a, dyn LatencyModel + 'a>>,
     target_latency_s: f64,
-    tail_percentile: f64,
-    window: WindowConfig,
     share_weight: f64,
+    shared_queries: usize,
     // Variant routing (None ⇒ always the baseline, zero bookkeeping on the hot path).
     variant_policy: Option<VariantPolicy>,
     variant_recent: Vec<f64>,
     variant_recent_pos: usize,
     variant_since_switch: u32,
     variant_switches: Vec<VariantSwitch>,
-    // Whole-stream accumulators, maintained in exactly `StreamingSim`'s order.
-    latencies: Vec<f64>,
-    latency_sum: f64,
-    satisfied: usize,
-    num_queries: usize,
-    record_per_query: bool,
-    makespan: f64,
-    shared_queries: usize,
-    // Windowing (columnar mirror of `StreamingSim`, covering lane + shared dispatches).
-    window_buf: WindowBuf,
-    win_lats: Vec<f64>,
-    next_window: u64,
-    // Per-tier accounting covering lane + shared dispatches (None ⇒ untiered member).
-    tier: Option<TierLedger>,
 }
 
-impl ModelState<'_> {
+impl Member<'_> {
     /// Applies the variant policy's degrade/upgrade rule before a dedicated dispatch:
     /// once the rolling window is full and the dwell has elapsed, a rolling mean above
     /// `degrade_ratio × target` steps one variant down the palette (cheaper), a mean
@@ -554,21 +359,36 @@ impl ModelState<'_> {
         }
         self.variant_since_switch = self.variant_since_switch.saturating_add(1);
     }
+}
 
-    fn window_start(&self, index: u64) -> f64 {
-        index as f64 * self.window.step_s
-    }
+/// Fleet-wide hourly cost of the deployed pools (lanes + shared).
+fn fleet_hourly_cost(members: &[Member<'_>], shared: Option<&SharedServer<'_>>) -> f64 {
+    members
+        .iter()
+        .filter_map(|m| m.lane.as_ref())
+        .map(|l| l.current_pool().hourly_cost())
+        .sum::<f64>()
+        + shared.map_or(0.0, |s| s.pool().hourly_cost())
+}
 
-    fn window_end(&self, index: u64) -> f64 {
-        self.window_start(index) + self.window.length_s
-    }
+/// Exact fleet-wide accrued cost up to `t`: every lane's per-slot billing (including
+/// reconfiguration drain/spin-up overlap) plus the static shared slice.
+fn fleet_cost(members: &[Member<'_>], shared: Option<&SharedServer<'_>>, t: f64) -> f64 {
+    members
+        .iter()
+        .filter_map(|m| m.lane.as_ref())
+        .map(|l| l.cost_so_far(t))
+        .sum::<f64>()
+        + shared.map_or(0.0, |s| s.cost_so_far(t))
 }
 
 /// The fleet router/simulator: per-model dedicated lanes plus an optional shared slice,
 /// driven one [`TaggedQuery`] at a time. See the module docs for routing semantics and
 /// the single-model bit-identity contract.
 pub struct FleetSim<'a> {
-    models: Vec<ModelState<'a>>,
+    members: Vec<Member<'a>>,
+    /// Per-model window accounting, covering lane and shared dispatches.
+    windows: Vec<WindowAccumulator>,
     shared: Option<SharedServer<'a>>,
     clock: f64,
 }
@@ -581,86 +401,67 @@ impl<'a> FleetSim<'a> {
     /// Panics if some model has neither dedicated capacity nor shared access, or if a
     /// window config is invalid.
     pub fn new(models: Vec<FleetModelConfig<'a>>, shared: Option<PoolSpec>) -> Self {
-        // Any tiered member switches the *shared* slice to tiered clocks (its slots
+        // Any tiered member switches the *shared* slice to tiered dispatch (its slots
         // serve every model, so premium overtaking must see one consistent clock set);
         // untiered members' queries then dispatch there as plain standard, which is
-        // bit-identical to the heaps. Dedicated lanes stay per-member.
+        // bit-identical to untiered dispatch. Dedicated lanes stay per-member.
         let fleet_tiered = models.iter().any(|m| m.tiers.is_some());
         let shared = shared.filter(|p| p.total_instances() > 0).map(|pool| {
             let profiles: Vec<&'a dyn LatencyModel> = models.iter().map(|m| m.profile).collect();
             let mut server = SharedServer::new(&pool, profiles);
             if fleet_tiered {
-                server.enable_tiered_clocks();
+                server.queue.enable_firm();
             }
             server
         });
-        let states: Vec<ModelState<'a>> = models
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let lane = if m.pool.total_instances() > 0 {
-                    // The lane's own windowing is unused (the router keeps per-model
-                    // windows covering shared dispatches too): a practically-infinite
-                    // window keeps the lane from ever closing one.
-                    let lane_config = StreamingSimConfig {
-                        target_latency_s: m.target_latency_s,
-                        tail_percentile: m.tail_percentile,
-                        window: WindowConfig::tumbling(1e18),
-                        spin_up_factor: m.spin_up_factor,
-                    };
-                    let mut lane =
-                        StreamingSim::new(&m.pool, m.profile as &dyn LatencyModel, lane_config);
-                    if let Some(set) = &m.tiers {
-                        lane.enable_tiers(set.clone());
-                    }
-                    Some(lane)
-                } else {
-                    None
-                };
+        let mut members = Vec::with_capacity(models.len());
+        let mut windows = Vec::with_capacity(models.len());
+        for (i, m) in models.into_iter().enumerate() {
+            let lane = (m.pool.total_instances() > 0).then(|| {
+                let mut lane = Lane::new(&m.pool, m.profile, m.spin_up_factor);
+                if m.tiers.is_some() {
+                    lane.enable_tiers();
+                }
+                lane
+            });
+            assert!(
+                lane.is_some() || (m.share_weight > 0.0 && shared.is_some()),
+                "fleet model {i} has neither dedicated capacity nor shared access"
+            );
+            m.window.validate();
+            if let Some(policy) = m.variant_policy {
+                policy
+                    .validate()
+                    .unwrap_or_else(|e| panic!("fleet model {i}: {e}"));
+                let palette = m.profile.num_variants().max(1);
                 assert!(
-                    lane.is_some() || (m.share_weight > 0.0 && shared.is_some()),
-                    "fleet model {i} has neither dedicated capacity nor shared access"
+                    policy.num_variants <= palette,
+                    "fleet model {i}: variant policy routes over {} variants but the \
+                     profile's palette has {palette}",
+                    policy.num_variants
                 );
-                m.window.try_validate().unwrap_or_else(|e| panic!("{e}"));
-                if let Some(policy) = m.variant_policy {
-                    policy
-                        .validate()
-                        .unwrap_or_else(|e| panic!("fleet model {i}: {e}"));
-                    let palette = m.profile.num_variants().max(1);
-                    assert!(
-                        policy.num_variants <= palette,
-                        "fleet model {i}: variant policy routes over {} variants but the \
-                         profile's palette has {palette}",
-                        policy.num_variants
-                    );
-                }
-                ModelState {
-                    lane,
-                    target_latency_s: m.target_latency_s,
-                    tail_percentile: m.tail_percentile,
-                    window: m.window,
-                    share_weight: m.share_weight,
-                    variant_policy: m.variant_policy,
-                    variant_recent: Vec::new(),
-                    variant_recent_pos: 0,
-                    variant_since_switch: 0,
-                    variant_switches: Vec::new(),
-                    latencies: Vec::new(),
-                    latency_sum: 0.0,
-                    satisfied: 0,
-                    num_queries: 0,
-                    record_per_query: true,
-                    makespan: 0.0,
-                    shared_queries: 0,
-                    window_buf: WindowBuf::default(),
-                    win_lats: Vec::new(),
-                    next_window: 0,
-                    tier: m.tiers.map(TierLedger::new),
-                }
-            })
-            .collect();
+            }
+            let mut model_windows =
+                WindowAccumulator::new(m.target_latency_s, m.tail_percentile, m.window);
+            if let Some(set) = m.tiers {
+                model_windows.enable_tiers(set);
+            }
+            windows.push(model_windows);
+            members.push(Member {
+                lane,
+                target_latency_s: m.target_latency_s,
+                share_weight: m.share_weight,
+                shared_queries: 0,
+                variant_policy: m.variant_policy,
+                variant_recent: Vec::new(),
+                variant_recent_pos: 0,
+                variant_since_switch: 0,
+                variant_switches: Vec::new(),
+            });
+        }
         FleetSim {
-            models: states,
+            members,
+            windows,
             shared,
             clock: 0.0,
         }
@@ -668,7 +469,7 @@ impl<'a> FleetSim<'a> {
 
     /// Number of fleet models.
     pub fn num_models(&self) -> usize {
-        self.models.len()
+        self.members.len()
     }
 
     /// The global stream clock (arrival time of the last pushed query).
@@ -682,19 +483,19 @@ impl<'a> FleetSim<'a> {
     }
 
     /// A model's dedicated lane, when it has one.
-    pub fn lane(&self, model: usize) -> Option<&StreamingSim<'a, dyn LatencyModel + 'a>> {
-        self.models[model].lane.as_ref()
+    pub fn lane(&self, model: usize) -> Option<&Lane<'a, dyn LatencyModel + 'a>> {
+        self.members[model].lane.as_ref()
     }
 
     /// How many of a model's queries were served by the shared slice so far.
     pub fn shared_queries(&self, model: usize) -> usize {
-        self.models[model].shared_queries
+        self.members[model].shared_queries
     }
 
     /// The palette index a model's dedicated lane is currently serving (`0` — the
     /// accuracy-best baseline — when the model has no lane or no variant policy).
     pub fn serving_variant(&self, model: usize) -> u32 {
-        self.models[model]
+        self.members[model]
             .lane
             .as_ref()
             .map_or(0, |l| l.serving_variant())
@@ -704,7 +505,7 @@ impl<'a> FleetSim<'a> {
     /// dispatches count under the variant that timed them; shared-slice dispatches
     /// always serve the baseline and fold into index 0.
     pub fn variant_served(&self, model: usize) -> Vec<u64> {
-        let m = &self.models[model];
+        let m = &self.members[model];
         // A validated policy always has at least one variant, so no clamp is needed.
         let mut counts = match (&m.lane, m.variant_policy) {
             (Some(lane), _) => lane.variant_served().to_vec(),
@@ -717,47 +518,37 @@ impl<'a> FleetSim<'a> {
 
     /// The variant switches the router applied on one model's lane, in stream order.
     pub fn variant_switches(&self, model: usize) -> &[VariantSwitch] {
-        &self.models[model].variant_switches
+        &self.members[model].variant_switches
     }
 
     /// One model's tier set, when the member is tiered.
     pub fn tier_set(&self, model: usize) -> Option<&TierSet> {
-        self.models[model].tier.as_ref().map(|ledger| &ledger.set)
+        self.windows[model].tier_set()
     }
 
     /// One model's whole-stream per-tier totals (lane + shared dispatches), in
     /// tier-set order; empty for untiered members.
     pub fn tier_totals(&self, model: usize) -> &[TierTotals] {
-        self.models[model]
-            .tier
-            .as_ref()
-            .map_or(&[], |ledger| &ledger.totals)
+        self.windows[model].tier_totals()
     }
 
     /// Fleet-wide hourly cost of the currently deployed pools (lanes + shared).
     pub fn current_hourly_cost(&self) -> f64 {
-        self.models
-            .iter()
-            .filter_map(|m| m.lane.as_ref())
-            .map(|l| l.current_pool().hourly_cost())
-            .sum::<f64>()
-            + self.shared.as_ref().map_or(0.0, |s| s.pool().hourly_cost())
+        fleet_hourly_cost(&self.members, self.shared.as_ref())
     }
 
     /// Exact fleet-wide accrued cost up to `t`: every lane's per-slot billing (including
     /// reconfiguration drain/spin-up overlap) plus the static shared slice.
     pub fn cost_so_far(&self, t: f64) -> f64 {
-        self.models
-            .iter()
-            .filter_map(|m| m.lane.as_ref())
-            .map(|l| l.cost_so_far(t))
-            .sum::<f64>()
-            + self.shared.as_ref().map_or(0.0, |s| s.cost_so_far(t))
+        fleet_cost(&self.members, self.shared.as_ref(), t)
     }
 
     /// Completion time of the last-finishing query so far, over the whole fleet.
     pub fn makespan(&self) -> f64 {
-        self.models.iter().map(|m| m.makespan).fold(0.0, f64::max)
+        self.windows
+            .iter()
+            .map(WindowAccumulator::makespan)
+            .fold(0.0, f64::max)
     }
 
     /// Advances the fleet by one tagged query: closes every model window the new global
@@ -785,60 +576,29 @@ impl<'a> FleetSim<'a> {
             q.arrival >= self.clock,
             "tagged queries must be pushed in arrival order"
         );
-        for m in 0..self.models.len() {
-            while q.arrival >= self.models[m].window_end(self.models[m].next_window) {
-                let w = self.close_next_window(m, true);
-                closed.push((m, w));
-            }
-        }
+        self.close_until(q.arrival, closed);
 
-        let state = &mut self.models[tq.model];
-        let tiered = state.tier.is_some();
-        let (class, cap) = match &state.tier {
-            Some(ledger) => {
-                let spec = &ledger.set.tiers()[tq.tier as usize];
-                (spec.class, spec.admission_cap_s)
-            }
-            None => {
-                debug_assert_eq!(tq.tier, 0, "untiered members only accept tier 0");
-                (AdmissionClass::Standard, None)
-            }
-        };
-        let route = match (&state.lane, &self.shared) {
-            (None, Some(_)) => Route::Shared,
-            (Some(lane), Some(shared)) if state.share_weight > 0.0 => {
-                // A premium query waits only on each side's firm clock (it may
+        let member = &mut self.members[tq.model];
+        let (class, cap) = self.windows[tq.model].class_of(tq.tier);
+        let to_shared = match (&member.lane, &self.shared) {
+            (None, Some(_)) => true,
+            (Some(lane), Some(shared)) if member.share_weight > 0.0 => {
+                // A premium query waits only on each side's firm clocks (it may
                 // overtake queued best-effort work); every other class waits on the
-                // full clock — which for untiered members is the plain availability.
-                let (lane_avail, shared_avail) = if class == AdmissionClass::Premium {
-                    (
-                        lane.next_available_at_tier(q.arrival, tq.tier),
-                        shared.next_available_at_premium(q.arrival),
-                    )
-                } else {
-                    (
-                        lane.next_available_at(q.arrival),
-                        shared.next_available_at(q.arrival),
-                    )
-                };
-                let lane_wait = lane_avail - q.arrival;
-                let shared_wait = shared_avail - q.arrival;
+                // full clocks.
+                let lane_wait = lane.next_available_at(q.arrival, class) - q.arrival;
+                let shared_wait = shared.next_available_at(q.arrival, class) - q.arrival;
                 // Weight ≥ 1 prefers the shared slice on ties (the shared slots hold
                 // the premium types and the lane is the spillover); weight < 1 keeps
                 // strict overflow semantics (the lane serves unless the shared side is
                 // decisively sooner).
-                let to_shared = if state.share_weight >= 1.0 {
-                    shared_wait <= state.share_weight * lane_wait
+                if member.share_weight >= 1.0 {
+                    shared_wait <= member.share_weight * lane_wait
                 } else {
-                    shared_wait < state.share_weight * lane_wait
-                };
-                if to_shared {
-                    Route::Shared
-                } else {
-                    Route::Dedicated
+                    shared_wait < member.share_weight * lane_wait
                 }
             }
-            (Some(_), _) => Route::Dedicated,
+            (Some(_), _) => false,
             (None, None) => unreachable!("constructor guarantees capacity for every model"),
         };
         // Evaluate the variant policy on every arrival, whichever side serves it: a
@@ -846,86 +606,37 @@ impl<'a> FleetSim<'a> {
         // and the switch must fire from shared completions too. Routing above never
         // looks at the serving variant, so evaluating here keeps the dedicated path's
         // dispatch timing unchanged.
-        state.maybe_switch_variant(q.arrival);
-        // `None` ⇒ dropped at admission (best-effort over its cap).
-        let served: Option<(f64, f64, bool)> = match route {
-            Route::Dedicated => {
-                let lane = state.lane.as_mut().expect("dedicated route has a lane");
-                let mut none = Vec::new();
-                let outcome = if tiered {
-                    lane.push_tiered_into(q, tq.tier, &mut none)
-                } else {
-                    lane.push_into(q, &mut none);
-                    TierPush::Served { preempted: false }
-                };
-                debug_assert!(none.is_empty(), "lane windows are practically infinite");
-                match outcome {
-                    TierPush::Served { preempted } => {
-                        Some((lane.last_completion(), lane.last_latency(), preempted))
-                    }
-                    TierPush::Dropped => None,
-                }
-            }
-            Route::Shared => {
-                let shared = self
-                    .shared
-                    .as_mut()
-                    .expect("shared route has a shared slice");
-                let outcome = if shared.tiered {
-                    shared.push_tiered(tq.model, q, class, cap)
-                } else {
-                    let (completion, latency) = shared.push(tq.model, q);
-                    Some((completion, latency, false))
-                };
-                if outcome.is_some() {
-                    state.shared_queries += 1;
-                }
-                outcome
-            }
-        };
-
-        let Some((completion, latency, preempted)) = served else {
-            state
-                .tier
+        member.maybe_switch_variant(q.arrival);
+        let served = if to_shared {
+            let shared = self
+                .shared
                 .as_mut()
-                .expect("only tiered members drop at admission")
-                .record_drop(tq.tier, q.arrival);
-            self.clock = q.arrival;
-            return false;
-        };
-        state.observe_latency(latency);
-        state.latency_sum += latency;
-        if latency <= state.target_latency_s {
-            state.satisfied += 1;
-        }
-        state.num_queries += 1;
-        if state.record_per_query {
-            state.latencies.push(latency);
-        }
-        if completion > state.makespan {
-            state.makespan = completion;
-        }
-        if let Some(ledger) = state.tier.as_mut() {
-            state
-                .window_buf
-                .push_tiered(q.arrival, completion, latency, tq.tier);
-            ledger.record_serve(
-                tq.tier,
-                q.arrival,
-                latency,
-                state.target_latency_s,
-                preempted,
-            );
+                .expect("shared route has a shared slice");
+            let served = shared.dispatch(tq.model, q, class, cap);
+            member.shared_queries += usize::from(served.is_some());
+            served
         } else {
-            state.window_buf.push(q.arrival, completion, latency);
-        }
+            let lane = member.lane.as_mut().expect("dedicated route has a lane");
+            lane.dispatch(q, class, cap)
+        };
         self.clock = q.arrival;
-        true
+        let windows = &mut self.windows[tq.model];
+        match served {
+            Some(d) => {
+                let latency = windows.record(q.arrival, d.completion, tq.tier, d.preempted);
+                member.observe_latency(latency);
+                true
+            }
+            None => {
+                windows.record_drop(tq.tier, q.arrival);
+                false
+            }
+        }
     }
 
     /// Replaces one model's dedicated slice mid-stream (drain/retire + spin-up, exactly
-    /// [`StreamingSim::reconfigure`] on that lane). The shared slice is never
-    /// reconfigured — a fleet controller adjusts only the violating model's slice.
+    /// [`Lane::reconfigure`] on that lane). The shared slice is never reconfigured — a
+    /// fleet controller adjusts only the violating model's slice.
     ///
     /// # Panics
     /// Panics if the model has no dedicated lane or `new_pool` is empty.
@@ -935,30 +646,41 @@ impl<'a> FleetSim<'a> {
         new_pool: &PoolSpec,
         at_s: f64,
     ) -> Reconfiguration {
-        self.models[model]
+        self.members[model]
             .lane
             .as_mut()
             .unwrap_or_else(|| panic!("fleet model {model} has no dedicated lane to reconfigure"))
             .reconfigure(new_pool, at_s)
     }
 
-    /// Toggles per-query recording for every model and lane — see
-    /// [`StreamingSim::set_record_per_query`]. With recording off the fleet runs in
-    /// constant memory per model; window statistics and counters stay exact, but
-    /// per-model [`FleetSim::stats`] reports a `0.0` whole-stream tail.
+    /// Toggles per-query recording for every model — see
+    /// [`StreamingSim::set_record_per_query`](crate::StreamingSim::set_record_per_query).
+    /// With recording off, a model's memory is bounded by the arrivals of its open
+    /// windows instead of growing with the stream; window statistics and counters stay
+    /// exact, but per-model [`FleetSim::stats`] reports a `0.0` whole-stream tail.
     pub fn set_record_per_query(&mut self, record: bool) {
-        for m in &mut self.models {
-            m.record_per_query = record;
-            if let Some(lane) = m.lane.as_mut() {
-                lane.set_record_per_query(record);
-            }
+        for windows in &mut self.windows {
+            windows.record_per_query = record;
         }
     }
 
     /// One model's lane billing records, when it has a lane — see
-    /// [`StreamingSim::billing`] for the post-hoc cost-reconstruction contract.
+    /// [`Lane::billing`] for the post-hoc cost-reconstruction contract.
     pub fn lane_billing(&self, model: usize) -> Option<Vec<SlotBilling>> {
-        self.models[model].lane.as_ref().map(|l| l.billing())
+        self.members[model].lane.as_ref().map(|l| l.billing())
+    }
+
+    /// Closes every model's windows that end at or before `t`, in model order.
+    fn close_until(&mut self, t: f64, closed: &mut Vec<(usize, WindowStats)>) {
+        let (members, shared) = (&self.members, self.shared.as_ref());
+        for (m, windows) in self.windows.iter_mut().enumerate() {
+            windows.close_until(
+                t,
+                || fleet_hourly_cost(members, shared),
+                |t| fleet_cost(members, shared, t),
+                |w| closed.push((m, w)),
+            );
+        }
     }
 
     /// Closes every window provably complete at stream time `t` — those with
@@ -972,12 +694,7 @@ impl<'a> FleetSim<'a> {
     pub fn drain_windows_until(&mut self, t: f64) -> Vec<(usize, WindowStats)> {
         debug_assert!(t >= self.clock, "the drain clock must not move backwards");
         let mut closed = Vec::new();
-        for m in 0..self.models.len() {
-            while t >= self.models[m].window_end(self.models[m].next_window) {
-                let w = self.close_next_window(m, true);
-                closed.push((m, w));
-            }
-        }
+        self.close_until(t, &mut closed);
         if t > self.clock {
             self.clock = t;
         }
@@ -988,19 +705,16 @@ impl<'a> FleetSim<'a> {
     /// order. Call once after the stream ends.
     pub fn finish_windows(&mut self) -> Vec<(usize, WindowStats)> {
         let mut out = Vec::new();
-        for m in 0..self.models.len() {
-            // A final window may hold admission drops alone, so undrained tier
-            // events keep the flush going too.
-            while self.models[m].window_start(self.models[m].next_window) <= self.clock
-                && (!self.models[m].window_buf.is_empty()
-                    || self.models[m]
-                        .tier
-                        .as_ref()
-                        .is_some_and(|ledger| ledger.has_events()))
-            {
-                let w = self.close_next_window(m, false);
-                out.push((m, w));
-            }
+        let (members, shared) = (&self.members, self.shared.as_ref());
+        let (clock, makespan) = (self.clock, self.makespan());
+        for (m, windows) in self.windows.iter_mut().enumerate() {
+            windows.finish(
+                clock,
+                makespan,
+                || fleet_hourly_cost(members, shared),
+                |t| fleet_cost(members, shared, t),
+                |w| out.push((m, w)),
+            );
         }
         out
     }
@@ -1008,105 +722,7 @@ impl<'a> FleetSim<'a> {
     /// One model's whole-stream aggregate statistics (same accumulation order and tail
     /// selection as the single-model simulator).
     pub fn stats(&self, model: usize) -> SimStats {
-        let m = &self.models[model];
-        let n = m.num_queries;
-        let mean_latency_s = if n == 0 {
-            0.0
-        } else {
-            m.latency_sum / n as f64
-        };
-        let mut buf = m.latencies.clone();
-        let tail_latency_s =
-            ribbon_linalg::stats::percentile_in_place(&mut buf, m.tail_percentile).unwrap_or(0.0);
-        SimStats {
-            num_queries: n,
-            satisfied: m.satisfied,
-            mean_latency_s,
-            tail_latency_s,
-            makespan: m.makespan,
-        }
-    }
-
-    /// Mirror of the streaming simulator's window close, with fleet-wide cost fields.
-    fn close_next_window(&mut self, model: usize, complete: bool) -> WindowStats {
-        let fleet_hourly = self.current_hourly_cost();
-        let fleet_makespan = self.makespan();
-        let clock = self.clock;
-        let m = &mut self.models[model];
-        let index = m.next_window;
-        let start = m.window_start(index);
-        let end = m.window_end(index);
-
-        let mut num = 0usize;
-        let mut satisfied = 0usize;
-        let mut completed_in_window = 0usize;
-        let mut sum = 0.0f64;
-        m.win_lats.clear();
-        for i in 0..m.window_buf.arrival.len() {
-            let arrival = m.window_buf.arrival[i];
-            if arrival >= end {
-                break; // buffer is arrival-ordered
-            }
-            if arrival < start {
-                continue;
-            }
-            let latency = m.window_buf.latency[i];
-            num += 1;
-            sum += latency;
-            if latency <= m.target_latency_s {
-                satisfied += 1;
-            }
-            if m.window_buf.completion[i] < end {
-                completed_in_window += 1;
-            }
-            m.win_lats.push(latency);
-        }
-        let tail = ribbon_linalg::stats::percentile_in_place(&mut m.win_lats, m.tail_percentile);
-        // Same span rule as the streaming simulator: full length for windows closed
-        // mid-stream, observed span for the partial final window.
-        let observed = clock.min(end) - start;
-        let span = if complete || observed <= 0.0 {
-            m.window.length_s
-        } else {
-            observed
-        };
-        let cost_horizon = if complete {
-            end
-        } else {
-            end.min(fleet_makespan.max(clock))
-        };
-        // The per-tier breakdown runs after (and never perturbs) the shared fields.
-        let tiers = match m.tier.as_mut() {
-            Some(ledger) => ledger.close_window(
-                &m.window_buf,
-                start,
-                end,
-                m.target_latency_s,
-                m.tail_percentile,
-            ),
-            None => Vec::new(),
-        };
-        m.next_window += 1;
-        let horizon = m.window_start(m.next_window);
-        m.window_buf.evict_before(horizon);
-        if let Some(ledger) = m.tier.as_mut() {
-            ledger.evict_before(horizon);
-        }
-        WindowStats {
-            index,
-            start_s: start,
-            end_s: end,
-            num_queries: num,
-            satisfied,
-            satisfaction_rate: (num > 0).then(|| satisfied as f64 / num as f64),
-            mean_latency_s: (num > 0).then(|| sum / num as f64),
-            tail_latency_s: tail,
-            arrival_qps: num as f64 / span,
-            throughput_qps: completed_in_window as f64 / span,
-            pool_hourly_cost: fleet_hourly,
-            cost_so_far_usd: self.cost_so_far(cost_horizon),
-            tiers,
-        }
+        self.windows[model].stats()
     }
 }
 
@@ -1117,6 +733,7 @@ mod tests {
     use crate::instance::InstanceType;
     use crate::latency::FnLatencyModel;
     use crate::query::StreamConfig;
+    use crate::streaming::{StreamingSim, StreamingSimConfig};
 
     fn model() -> FnLatencyModel<impl Fn(InstanceType, u32) -> f64> {
         FnLatencyModel::new("mixed", |ty, b| {
@@ -1226,9 +843,39 @@ mod tests {
         assert_eq!(fleet.stats(0), direct.stats());
         assert_eq!(fleet.cost_so_far(30.0), direct.cost_so_far(30.0));
         assert_eq!(
-            fleet.lane(0).unwrap().latencies(),
+            fleet.windows[0].latencies(),
             direct.latencies(),
             "per-query latencies must be bit-identical"
+        );
+    }
+
+    #[test]
+    fn lane_memory_is_bounded_by_the_open_window() {
+        // 200k queries through one lane with 1 s windows and recording off. The lane
+        // keeps dispatch, billing, reconfiguration and variant state only; the model's
+        // window accumulator is the one buffer, and it holds exactly the arrivals of
+        // the open window [floor(t), t].
+        let m = model();
+        let queries = stream(2000.0, 200_000, 8);
+        let lane_pool = PoolSpec::homogeneous(InstanceType::G4dn, 20);
+        let mut fleet = FleetSim::new(vec![member(lane_pool, &m, 0.0)], None);
+        fleet.set_record_per_query(false);
+        let mut closed = Vec::new();
+        let mut open_from = 0; // first query of the open window
+        for (i, q) in queries.iter().enumerate() {
+            fleet.push_into(&TaggedQuery::new(0, *q), &mut closed);
+            while queries[open_from].arrival < q.arrival.floor() {
+                open_from += 1;
+            }
+            assert_eq!(fleet.windows[0].buffered(), i + 1 - open_from, "query {i}");
+        }
+        assert!(closed.len() >= 99, "the stream spans ~100 windows");
+        assert!(fleet.windows[0].latencies().is_empty());
+        let lane = fleet.lane(0).unwrap();
+        assert_eq!(lane.num_queries(), queries.len());
+        assert_eq!(
+            lane.per_slot_load().iter().sum::<u64>(),
+            queries.len() as u64
         );
     }
 

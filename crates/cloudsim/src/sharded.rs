@@ -305,7 +305,7 @@ pub fn simulate_fleet_sharded(
 
     // Fleet-wide window cost fields, reconstructed post-hoc. Complete windows sample
     // cost at their end; partial windows clamp to the run horizon — the same rules
-    // FleetSim::close_next_window applies mid-run. Hourly cost is the (constant,
+    // the window accumulator applies mid-run. Hourly cost is the (constant,
     // reconfiguration-free) deployed total.
     for m in 0..n {
         for (i, w) in windows[m].iter_mut().enumerate() {

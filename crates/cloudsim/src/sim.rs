@@ -11,37 +11,29 @@
 //! lexicographically, where `start = max(free_at, arrival)` and the index follows the pool's
 //! type order (Table 3 order, highest-performance type first), so **exactly equal** start
 //! times break toward the earlier type. Instead of scanning every instance per query
-//! (O(Q·N)), [`simulate`] maintains two priority queues and runs in O(Q·log N):
+//! (O(Q·N)), [`simulate`] dispatches through the crate's one slot queue, a min-tree over
+//! the instances' `free_at` clocks in index order, and runs in O(Q·log N): the root is the
+//! earliest clock, and one root-to-leaf walk finds the lowest index whose clock is at or
+//! before `max(root, arrival)` — the lowest idle index when some instance is idle, else the
+//! earliest-freeing instance with ties to the earlier type. The streaming simulator and the
+//! fleet router dispatch through the same queue.
 //!
-//! * an **idle heap** of instance indices with `free_at ≤ arrival` of the current query,
-//!   ordered by index — every idle instance can start at `arrival`, the minimum possible
-//!   start, so the smallest idle index is the dispatch target whenever this heap is
-//!   non-empty;
-//! * a **busy heap** of `(free_at, index)` pairs ordered lexicographically — when no
-//!   instance is idle, its minimum is the instance that frees earliest (ties to the earlier
-//!   type), i.e. the `(start, index)` minimum.
-//!
-//! The invariants that make this equivalent to the full scan (enforced by the differential
-//! suite in `tests/simulator_differential.rs` against [`reference::simulate`]):
-//!
-//! 1. queries arrive in non-decreasing order (checked with a debug assertion), so once
-//!    `free_at ≤ arrivalᵢ` holds it holds for every later query — instances move from busy
-//!    to idle monotonically and are drained before each dispatch;
-//! 2. every idle instance starts the query at `arrival`, strictly earlier than every busy
-//!    instance (`free_at > arrival`), so the two heaps never disagree about the minimum;
-//! 3. start-time ties are broken by *bit-exact* float equality of `free_at` (see
-//!    [`reference`](mod@reference) for why the historical epsilon tolerance was removed).
+//! Queries must arrive in non-decreasing order (checked with a debug assertion). Start-time
+//! ties are broken by *bit-exact* float equality of `free_at` (see
+//! [`reference`](mod@reference) for why the historical epsilon tolerance was removed). The
+//! differential suite in `tests/simulator_differential.rs` holds the queue to
+//! [`reference::simulate`].
 //!
 //! [`simulate`] records the full per-query trace ([`SimResult`]); [`simulate_stats`] is the
 //! lean fast path used by the Ribbon evaluator — same scheduler, but it accumulates
 //! satisfaction/mean/tail/makespan in a single pass without materializing per-query batch
 //! sizes or instance assignments.
 
+use crate::dispatch::SlotQueue;
 use crate::instance::{InstanceType, PoolSpec};
 use crate::latency::LatencyModel;
 use crate::query::Query;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::tier::AdmissionClass;
 
 /// Outcome of simulating one query stream on one pool.
 #[derive(Debug, Clone)]
@@ -105,79 +97,44 @@ impl SimResult {
     }
 }
 
-/// A busy instance in the event queue: ordered so that the [`BinaryHeap`] maximum is the
-/// lexicographically *smallest* `(free_at, idx)` pair (a min-heap via reversed comparison).
+/// The pool's instances in type order — the slots a simulator dispatches to.
 ///
-/// `free_at` values are finite by construction (arrival + non-negative service times), so
-/// `total_cmp` coincides with numeric order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct BusyInstance {
-    free_at: f64,
-    idx: usize,
+/// # Panics
+/// Panics if the pool is empty: an empty pool cannot serve queries.
+pub(crate) fn serving_instances(pool: &PoolSpec) -> Vec<InstanceType> {
+    let instances = pool.expand();
+    assert!(
+        !instances.is_empty(),
+        "cannot simulate an empty pool ({})",
+        pool.describe()
+    );
+    instances
 }
 
-impl Eq for BusyInstance {}
-
-impl Ord for BusyInstance {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .free_at
-            .total_cmp(&self.free_at)
-            .then_with(|| other.idx.cmp(&self.idx))
-    }
-}
-
-impl PartialOrd for BusyInstance {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The shared event-driven dispatch loop: calls `on_serve(query, instance index, start,
+/// The shared event-driven dispatch loop: calls `on_serve(query, instance index,
 /// completion)` for every query in arrival order and returns the makespan.
 ///
-/// See the module docs for the scheduler invariants. `instances` must be non-empty and
-/// `queries` sorted by arrival (debug-asserted).
+/// `instances` must be non-empty and `queries` sorted by arrival (debug-asserted).
 fn drive<M, F>(instances: &[InstanceType], queries: &[Query], model: &M, mut on_serve: F) -> f64
 where
     M: LatencyModel + ?Sized,
-    F: FnMut(&Query, usize, f64, f64),
+    F: FnMut(&Query, usize, f64),
 {
     debug_assert!(
         queries.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "queries must be sorted by arrival time"
     );
-    // All instances start idle (free_at = 0 ≤ first arrival ≥ 0).
-    let mut idle: BinaryHeap<Reverse<usize>> = (0..instances.len()).map(Reverse).collect();
-    let mut busy: BinaryHeap<BusyInstance> = BinaryHeap::with_capacity(instances.len());
+    let mut queue = SlotQueue::new(instances.len());
     let mut makespan = 0.0_f64;
-
     for q in queries {
-        // Drain every instance that has freed up by this arrival into the idle heap.
-        while let Some(top) = busy.peek() {
-            if top.free_at <= q.arrival {
-                idle.push(Reverse(busy.pop().expect("peeked entry exists").idx));
-            } else {
-                break;
-            }
-        }
-        let (idx, start) = match idle.pop() {
-            Some(Reverse(idx)) => (idx, q.arrival),
-            None => {
-                let b = busy.pop().expect("non-empty pool has a busy instance");
-                (b.idx, b.free_at)
-            }
+        let service = |idx: usize| model.service_time(instances[idx], q.batch_size).max(0.0);
+        let Some(d) = queue.dispatch(q.arrival, AdmissionClass::Standard, None, service) else {
+            unreachable!("standard queries are never dropped");
         };
-        let service = model.service_time(instances[idx], q.batch_size).max(0.0);
-        let completion = start + service;
-        busy.push(BusyInstance {
-            free_at: completion,
-            idx,
-        });
-        if completion > makespan {
-            makespan = completion;
+        if d.completion > makespan {
+            makespan = d.completion;
         }
-        on_serve(q, idx, start, completion);
+        on_serve(q, d.slot, d.completion);
     }
     makespan
 }
@@ -196,19 +153,14 @@ pub fn simulate<M: LatencyModel + ?Sized>(
     queries: &[Query],
     model: &M,
 ) -> SimResult {
-    let instances: Vec<InstanceType> = pool.expand();
-    assert!(
-        !instances.is_empty(),
-        "cannot simulate an empty pool ({})",
-        pool.describe()
-    );
+    let instances = serving_instances(pool);
 
     let mut per_instance_load = vec![0u64; instances.len()];
     let mut latencies = Vec::with_capacity(queries.len());
     let mut batch_sizes = Vec::with_capacity(queries.len());
     let mut assigned = Vec::with_capacity(queries.len());
 
-    let makespan = drive(&instances, queries, model, |q, idx, _start, completion| {
+    let makespan = drive(&instances, queries, model, |q, idx, completion| {
         per_instance_load[idx] += 1;
         latencies.push(completion - q.arrival);
         batch_sizes.push(q.batch_size);
@@ -284,18 +236,13 @@ pub fn simulate_stats<M: LatencyModel + ?Sized>(
     target_latency_s: f64,
     tail_percentile: f64,
 ) -> SimStats {
-    let instances: Vec<InstanceType> = pool.expand();
-    assert!(
-        !instances.is_empty(),
-        "cannot simulate an empty pool ({})",
-        pool.describe()
-    );
+    let instances = serving_instances(pool);
 
     let mut latencies = Vec::with_capacity(queries.len());
     let mut latency_sum = 0.0_f64;
     let mut satisfied = 0usize;
 
-    let makespan = drive(&instances, queries, model, |q, _idx, _start, completion| {
+    let makespan = drive(&instances, queries, model, |q, _idx, completion| {
         let latency = completion - q.arrival;
         latency_sum += latency;
         if latency <= target_latency_s {
@@ -336,20 +283,15 @@ pub mod reference {
     /// order is preferred only when its start time is *strictly* smaller (by any margin,
     /// even one ULP). A historical version used an epsilon tolerance
     /// (`start < best_start - 1e-12`), treating near-ties as ties; that relation is not
-    /// transitive, so no total order — and therefore no heap — can reproduce it. Exact
-    /// comparison is the semantics both implementations share and the differential suite
-    /// pins down.
+    /// transitive, so no total order — and therefore no priority queue — can reproduce
+    /// it. Exact comparison is the semantics both implementations share and the
+    /// differential suite pins down.
     pub fn simulate<M: LatencyModel + ?Sized>(
         pool: &PoolSpec,
         queries: &[Query],
         model: &M,
     ) -> SimResult {
-        let instances: Vec<InstanceType> = pool.expand();
-        assert!(
-            !instances.is_empty(),
-            "cannot simulate an empty pool ({})",
-            pool.describe()
-        );
+        let instances = serving_instances(pool);
 
         let mut free_at = vec![0.0_f64; instances.len()];
         let mut per_instance_load = vec![0u64; instances.len()];
@@ -391,55 +333,6 @@ pub mod reference {
             assigned_instance: assigned,
             per_instance_load,
             makespan,
-        }
-    }
-}
-
-/// Simulates serving the same query stream on several independent pools, fanning the pools
-/// out over at most `threads` worker threads (see [`crate::parallel`]).
-///
-/// Results come back in `pools` order and are bit-identical to calling [`simulate`] on each
-/// pool serially: the simulator is a pure function of `(pool, queries, model)`.
-pub fn simulate_many<M: LatencyModel + Sync + ?Sized>(
-    pools: &[PoolSpec],
-    queries: &[Query],
-    model: &M,
-    threads: usize,
-) -> Vec<SimResult> {
-    crate::parallel::par_map(pools, threads, |pool| simulate(pool, queries, model))
-}
-
-/// Convenience wrapper binding a latency model and a pool so repeated streams can be
-/// simulated without re-passing arguments (used by the Ribbon evaluator).
-pub struct PoolSimulator<'a, M: LatencyModel + ?Sized> {
-    model: &'a M,
-}
-
-impl<'a, M: LatencyModel + ?Sized> PoolSimulator<'a, M> {
-    /// Creates a simulator bound to a latency model.
-    pub fn new(model: &'a M) -> Self {
-        PoolSimulator { model }
-    }
-
-    /// The bound latency model.
-    pub fn model(&self) -> &M {
-        self.model
-    }
-
-    /// Simulates a query stream on a pool.
-    pub fn run(&self, pool: &PoolSpec, queries: &[Query]) -> SimResult {
-        simulate(pool, queries, self.model)
-    }
-
-    /// Measures the isolated throughput (queries/second) of a single instance of `ty`
-    /// serving back-to-back queries of a fixed batch size — the figure-of-merit used in
-    /// the paper's Fig. 3 characterization (QPS = 1 / mean service latency).
-    pub fn isolated_throughput(&self, ty: InstanceType, batch_size: u32) -> f64 {
-        let t = self.model.service_time(ty, batch_size);
-        if t <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / t
         }
     }
 }
@@ -580,16 +473,15 @@ mod tests {
                 0.0005 + 2e-4 * b as f64
             }
         });
-        let sim = PoolSimulator::new(&model);
-        // Small batch: CPU wins; large batch: GPU wins.
-        assert!(
-            sim.isolated_throughput(InstanceType::C5, 4)
-                > sim.isolated_throughput(InstanceType::G4dn, 4)
-        );
-        assert!(
-            sim.isolated_throughput(InstanceType::G4dn, 256)
-                > sim.isolated_throughput(InstanceType::C5, 256)
-        );
+        // Isolated throughput is 1 / service time. Small batch: CPU wins; large batch:
+        // GPU wins.
+        let qps = |ty, b| 1.0 / model.service_time(ty, b);
+        assert!(qps(InstanceType::C5, 4) > qps(InstanceType::G4dn, 4));
+        assert!(qps(InstanceType::G4dn, 256) > qps(InstanceType::C5, 256));
+        // The simulator agrees: a lone 256-batch query finishes sooner on the GPU.
+        let pool = PoolSpec::new(vec![InstanceType::C5, InstanceType::G4dn], vec![1, 1]);
+        let r = simulate(&pool, &queries_at(&[0.0, 0.0], 256), &model);
+        assert!(r.latencies[1] < r.latencies[0]);
     }
 
     #[test]
@@ -712,7 +604,7 @@ mod tests {
         let s = reference::simulate(&pool, &queries, &model);
         assert_eq!(
             r.assigned_instance, s.assigned_instance,
-            "heap and scan must agree on sub-epsilon margins"
+            "dispatcher and scan must agree on sub-epsilon margins"
         );
         assert_eq!(
             r.assigned_instance[2], 1,

@@ -3,8 +3,8 @@
 //!
 //! [`crate::simulate`] answers "what would this pool have done with this whole stream" —
 //! the right question for offline configuration search, the wrong one for a serving system
-//! that must react *while queries keep arriving*. [`StreamingSim`] runs the same two-heap
-//! FCFS scheduler (see [`crate::sim`]) but is driven one query at a time, and adds what an
+//! that must react *while queries keep arriving*. [`StreamingSim`] runs the same FCFS
+//! dispatcher as [`crate::sim`] but is driven one query at a time, and adds what an
 //! online runtime needs:
 //!
 //! * **windowed monitoring** — per-window [`WindowStats`] (satisfaction, mean, tail,
@@ -18,28 +18,32 @@
 //!   accrued cost of a reconfigured stream (including the drain/spin-up overlap where both
 //!   generations are billed) is exact, not `hourly_cost × duration`.
 //!
+//! A [`StreamingSim`] is a [`Lane`] (dispatch, billing, reconfiguration and the serving
+//! variant) plus one model's window accounting; the fleet router composes the same two
+//! parts.
+//!
 //! # Bit-identity with the batch simulator
 //!
 //! With **zero** reconfigurations, pushing a stream through [`StreamingSim`] is
 //! bit-identical to [`crate::simulate`] / [`crate::simulate_stats`] on the same inputs:
-//! the heaps hold `(rank, slot)` pairs with `rank == slot index` until the first
-//! reconfiguration, so every comparison, dispatch, and floating-point accumulation happens
-//! in exactly the order of [`crate::sim`]'s `drive` loop. The differential suite in
+//! both dispatch through the same slot queue with ranks equal to slot indices, and the
+//! whole-stream counters accumulate in the same order. The differential suite in
 //! `tests/online_serving.rs` enforces this.
 //!
-//! After a reconfiguration the dispatch-preference ranks are reassigned to follow the new
-//! pool's type order (surviving instances keep their relative order within a type, new
-//! instances queue behind them), and both heaps are rebuilt — an O(N log N) step that only
-//! runs on the rare reconfiguration event, never per query.
+//! A reconfiguration re-ranks the slots to follow the new pool's type order (surviving
+//! instances keep their relative order within a type, new instances queue behind them)
+//! and rebuilds the queue — an O(N) step that only runs on the rare reconfiguration
+//! event, never per query.
 
+use crate::dispatch::{Dispatch, SlotQueue};
 use crate::instance::{InstanceType, PoolSpec};
 use crate::latency::LatencyModel;
 use crate::query::Query;
 use crate::sim::SimStats;
 use crate::tier::{AdmissionClass, TierSet, TierTotals, TierWindowStats};
+use crate::window::WindowAccumulator;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 
 /// The monitoring window shape: statistics are emitted for windows
 /// `[k·step_s, k·step_s + length_s)` for `k = 0, 1, 2, …` — tumbling when
@@ -84,7 +88,7 @@ impl WindowConfig {
         Ok(())
     }
 
-    fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.try_validate().unwrap_or_else(|e| panic!("{e}"));
     }
 }
@@ -208,139 +212,6 @@ impl StreamingSimConfig {
     }
 }
 
-/// One concrete instance over its whole lifetime (possibly retired).
-#[derive(Debug, Clone)]
-struct Slot {
-    ty: InstanceType,
-    /// Dispatch-preference rank; equals the slot index until the first reconfiguration.
-    rank: usize,
-    free_at: f64,
-    retired: bool,
-    /// Billing starts here (launch time; spin-up is billed).
-    cost_from: f64,
-    /// Billing ends here once retired and drained.
-    cost_until: Option<f64>,
-    load: u64,
-}
-
-/// A busy slot in the event queue: min-heap by `(free_at, rank)` via reversed comparison,
-/// mirroring `sim::BusyInstance` (rank == index before any reconfiguration).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct BusySlot {
-    free_at: f64,
-    rank: usize,
-    slot: usize,
-}
-
-impl Eq for BusySlot {}
-
-impl Ord for BusySlot {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .free_at
-            .total_cmp(&self.free_at)
-            .then_with(|| other.rank.cmp(&self.rank))
-    }
-}
-
-impl PartialOrd for BusySlot {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Tiered-mode slot selection under an arbitrary per-slot clock, replicating the
-/// two-heap rule exactly: if any active slot's clock is at or before `arrival`, the
-/// lowest-ranked such slot starts the query at `arrival` (the idle heap's answer);
-/// otherwise the slot minimising `(clock, rank)` — `total_cmp` on the clock, rank as
-/// the tiebreak, the busy heap's ordering — starts it at its clock.
-fn select_tiered(
-    slots: &[Slot],
-    arrival: f64,
-    clock: impl Fn(usize, &Slot) -> f64,
-) -> (usize, f64) {
-    let mut idle_best: Option<(usize, usize)> = None; // (rank, index)
-    let mut busy_best: Option<(f64, usize, usize)> = None; // (clock, rank, index)
-    for (i, slot) in slots.iter().enumerate() {
-        if slot.retired {
-            continue;
-        }
-        let c = clock(i, slot);
-        if c <= arrival {
-            if idle_best.is_none_or(|(rank, _)| slot.rank < rank) {
-                idle_best = Some((slot.rank, i));
-            }
-        } else if idle_best.is_none() {
-            let better = match busy_best {
-                None => true,
-                Some((bc, brank, _)) => match c.total_cmp(&bc) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => slot.rank < brank,
-                },
-            };
-            if better {
-                busy_best = Some((c, slot.rank, i));
-            }
-        }
-    }
-    if let Some((_, i)) = idle_best {
-        return (i, arrival);
-    }
-    let (c, _, i) = busy_best.expect("a non-empty pool has an active slot");
-    (i, c)
-}
-
-/// Struct-of-arrays buffer of the monitoring records awaiting window close.
-///
-/// One logical entry per pushed query — `(arrival, completion, latency)` — stored
-/// columnar so the per-window scan touches three dense arrays instead of striding
-/// over an array of structs. Entries are evicted from the front as soon as no later
-/// window can need them, which bounds the buffer by the in-flight window span
-/// (constant memory for steady traffic, independent of stream length).
-#[derive(Debug, Default)]
-pub(crate) struct WindowBuf {
-    pub(crate) arrival: VecDeque<f64>,
-    pub(crate) completion: VecDeque<f64>,
-    pub(crate) latency: VecDeque<f64>,
-    /// Tier tag per entry — populated only by tiered pushes, so it is either empty
-    /// (untiered runs pay nothing) or exactly as long as the other columns.
-    pub(crate) tier: VecDeque<u32>,
-}
-
-impl WindowBuf {
-    pub(crate) fn push(&mut self, arrival: f64, completion: f64, latency: f64) {
-        self.arrival.push_back(arrival);
-        self.completion.push_back(completion);
-        self.latency.push_back(latency);
-    }
-
-    pub(crate) fn push_tiered(&mut self, arrival: f64, completion: f64, latency: f64, tier: u32) {
-        self.push(arrival, completion, latency);
-        self.tier.push_back(tier);
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.arrival.is_empty()
-    }
-
-    /// Drops every leading entry whose arrival is strictly before `horizon`.
-    pub(crate) fn evict_before(&mut self, horizon: f64) {
-        while let Some(&front) = self.arrival.front() {
-            if front < horizon {
-                self.arrival.pop_front();
-                self.completion.pop_front();
-                self.latency.pop_front();
-                if !self.tier.is_empty() {
-                    self.tier.pop_front();
-                }
-            } else {
-                break;
-            }
-        }
-    }
-}
-
 /// Outcome of one tiered push.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierPush {
@@ -362,166 +233,8 @@ impl TierPush {
     }
 }
 
-/// Per-tier bookkeeping shared by the streaming simulator and the fleet router's
-/// per-model accounting: whole-stream totals, the drop/preemption event log (attributed
-/// by arrival, evicted with the window buffer), and the per-window breakdown scan.
-pub(crate) struct TierLedger {
-    pub(crate) set: TierSet,
-    // Drop/preemption events by arrival time (arrival-ordered, like the window buffer).
-    ev_arrival: VecDeque<f64>,
-    ev_tier: VecDeque<u32>,
-    ev_kind: VecDeque<EventKind>,
-    pub(crate) totals: Vec<TierTotals>,
-    // Per-tier latency scratch reused across window closes.
-    scratch_lats: Vec<Vec<f64>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    AdmissionDrop,
-    Preemption,
-}
-
-impl TierLedger {
-    pub(crate) fn new(set: TierSet) -> Self {
-        let n = set.len();
-        TierLedger {
-            set,
-            ev_arrival: VecDeque::new(),
-            ev_tier: VecDeque::new(),
-            ev_kind: VecDeque::new(),
-            totals: vec![TierTotals::default(); n],
-            scratch_lats: vec![Vec::new(); n],
-        }
-    }
-
-    /// Accounts one served query: totals plus, for a preempting dispatch, an event.
-    pub(crate) fn record_serve(
-        &mut self,
-        tier: u32,
-        arrival: f64,
-        latency: f64,
-        model_target_s: f64,
-        preempted: bool,
-    ) {
-        let t = &mut self.totals[tier as usize];
-        t.served += 1;
-        if latency <= self.set.effective_latency(tier as usize, model_target_s) {
-            t.satisfied += 1;
-        }
-        t.latency_sum += latency;
-        if preempted {
-            t.preemptions += 1;
-            self.ev_arrival.push_back(arrival);
-            self.ev_tier.push_back(tier);
-            self.ev_kind.push_back(EventKind::Preemption);
-        }
-    }
-
-    /// Accounts one admission drop.
-    pub(crate) fn record_drop(&mut self, tier: u32, arrival: f64) {
-        self.totals[tier as usize].admission_drops += 1;
-        self.ev_arrival.push_back(arrival);
-        self.ev_tier.push_back(tier);
-        self.ev_kind.push_back(EventKind::AdmissionDrop);
-    }
-
-    /// Whether undrained drop/preemption events remain (a final window may consist of
-    /// drops alone, with nothing in the window buffer).
-    pub(crate) fn has_events(&self) -> bool {
-        !self.ev_arrival.is_empty()
-    }
-
-    /// The per-tier breakdown of the window `[start, end)` over `buf` (whose tier
-    /// column the tiered push populated). Runs *after* the window's shared fields so
-    /// the untiered accumulation order is untouched.
-    pub(crate) fn close_window(
-        &mut self,
-        buf: &WindowBuf,
-        start: f64,
-        end: f64,
-        model_target_s: f64,
-        tail_percentile: f64,
-    ) -> Vec<TierWindowStats> {
-        let n = self.set.len();
-        let mut num = vec![0usize; n];
-        let mut satisfied = vec![0usize; n];
-        let mut sum = vec![0.0f64; n];
-        for lats in &mut self.scratch_lats {
-            lats.clear();
-        }
-        debug_assert_eq!(buf.tier.len(), buf.arrival.len());
-        for i in 0..buf.arrival.len() {
-            let arrival = buf.arrival[i];
-            if arrival >= end {
-                break; // buffer is arrival-ordered
-            }
-            if arrival < start {
-                continue;
-            }
-            let t = buf.tier[i] as usize;
-            let latency = buf.latency[i];
-            num[t] += 1;
-            sum[t] += latency;
-            if latency <= self.set.effective_latency(t, model_target_s) {
-                satisfied[t] += 1;
-            }
-            self.scratch_lats[t].push(latency);
-        }
-        let mut drops = vec![0usize; n];
-        let mut preempts = vec![0usize; n];
-        for i in 0..self.ev_arrival.len() {
-            let arrival = self.ev_arrival[i];
-            if arrival >= end {
-                break; // event log is arrival-ordered
-            }
-            if arrival < start {
-                continue;
-            }
-            let t = self.ev_tier[i] as usize;
-            match self.ev_kind[i] {
-                EventKind::AdmissionDrop => drops[t] += 1,
-                EventKind::Preemption => preempts[t] += 1,
-            }
-        }
-        (0..n)
-            .map(|t| {
-                let tail = ribbon_linalg::stats::percentile_in_place(
-                    &mut self.scratch_lats[t],
-                    tail_percentile,
-                );
-                TierWindowStats {
-                    name: self.set.tiers()[t].name.clone(),
-                    class: self.set.tiers()[t].class,
-                    num_queries: num[t],
-                    satisfied: satisfied[t],
-                    satisfaction_rate: (num[t] > 0).then(|| satisfied[t] as f64 / num[t] as f64),
-                    mean_latency_s: (num[t] > 0).then(|| sum[t] / num[t] as f64),
-                    tail_latency_s: tail,
-                    admission_drops: drops[t],
-                    preemptions: preempts[t],
-                }
-            })
-            .collect()
-    }
-
-    /// Drops every leading event strictly before `horizon` (same rule as the window
-    /// buffer's eviction).
-    pub(crate) fn evict_before(&mut self, horizon: f64) {
-        while let Some(&front) = self.ev_arrival.front() {
-            if front < horizon {
-                self.ev_arrival.pop_front();
-                self.ev_tier.pop_front();
-                self.ev_kind.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// One slot's billing span, extracted by [`StreamingSim::billing`]: everything needed
-/// to re-evaluate [`StreamingSim::cost_so_far`] after the run without the simulator.
+/// One slot's billing span, extracted by [`Lane::billing`]: everything needed to
+/// re-evaluate [`Lane::cost_so_far`] after the run without the simulator.
 ///
 /// `cost_from_billing` over the full record set is **bit-identical** to calling
 /// `cost_so_far(t)` on the live simulator at any earlier stream time `t`: a slot
@@ -538,8 +251,19 @@ pub struct SlotBilling {
     pub cost_until: Option<f64>,
 }
 
-/// Accrued cost in USD at time `t` from extracted billing records — the exact fold of
-/// [`StreamingSim::cost_so_far`], term for term, in slot order.
+impl SlotBilling {
+    /// The record of an instance of `ty` launched at `at`.
+    fn launch(ty: InstanceType, at: f64) -> Self {
+        SlotBilling {
+            hourly_price: ty.hourly_price(),
+            cost_from: at,
+            cost_until: None,
+        }
+    }
+}
+
+/// Accrued cost in USD at time `t` from billing records, summed in slot order;
+/// [`Lane::cost_so_far`] is this fold over the lane's own records.
 pub fn cost_from_billing(slots: &[SlotBilling], t: f64) -> f64 {
     slots
         .iter()
@@ -551,145 +275,83 @@ pub fn cost_from_billing(slots: &[SlotBilling], t: f64) -> f64 {
         .sum()
 }
 
-/// The resumable streaming simulator. See the module docs for semantics.
-pub struct StreamingSim<'a, M: LatencyModel + ?Sized> {
+/// One reconfigurable pool serving one model: dispatch, per-slot billing,
+/// reconfiguration and the serving variant. It keeps no window state; a
+/// [`StreamingSim`] or a fleet member pairs it with its window accounting.
+///
+/// Slots are every instance ever launched, retired ones included, in launch order.
+pub struct Lane<'a, M: LatencyModel + ?Sized> {
     model: &'a M,
-    config: StreamingSimConfig,
     pool: PoolSpec,
-    slots: Vec<Slot>,
-    idle: BinaryHeap<Reverse<(usize, usize)>>,
-    busy: BinaryHeap<BusySlot>,
-    last_arrival: f64,
-    last_completion: f64,
-    last_latency: f64,
-    makespan: f64,
-    // Whole-stream accumulators, maintained in exactly `simulate_stats`'s order.
-    latencies: Vec<f64>,
-    assigned: Vec<usize>,
-    latency_sum: f64,
-    satisfied: usize,
-    num_queries: usize,
-    record_per_query: bool,
+    types: Vec<InstanceType>,
+    bills: Vec<SlotBilling>,
+    load: Vec<u64>,
+    queue: SlotQueue,
+    spin_up_factor: f64,
+    /// Arrival of the last query dispatched or dropped here.
+    clock: f64,
     // Variant serving: which palette index of `model` times new dispatches, plus how
     // many queries each variant served. Index 0 (the accuracy-best baseline) keeps the
     // timing math bit-identical to the variant-less simulator.
     serving_variant: u32,
     variant_served: Vec<u64>,
-    // Windowing.
-    window_buf: WindowBuf,
-    win_lats: Vec<f64>,
-    next_window: u64,
-    // History.
     reconfigurations: Vec<Reconfiguration>,
-    // Tiered serving (None ⇒ untiered: the two-heap hot path, zero new work).
-    tier: Option<TierRuntime>,
 }
 
-/// Tiered-mode state: the ledger plus the per-slot *firm* clock — the completion time
-/// of the slot's premium/standard work only (`firm_free_at[i] ≤ slots[i].free_at`
-/// always; the gap is queued best-effort work that premium may overtake).
-struct TierRuntime {
-    ledger: TierLedger,
-    firm_free_at: Vec<f64>,
-}
-
-impl<'a, M: LatencyModel + ?Sized> StreamingSim<'a, M> {
-    /// Creates a streaming simulation of `pool` under `model`.
+impl<'a, M: LatencyModel + ?Sized> Lane<'a, M> {
+    /// A lane serving `pool` under `model`.
     ///
     /// # Panics
-    /// Panics if the pool is empty or the window config is invalid.
-    pub fn new(pool: &PoolSpec, model: &'a M, config: StreamingSimConfig) -> Self {
-        config.window.validate();
-        let instances = pool.expand();
-        assert!(
-            !instances.is_empty(),
-            "cannot simulate an empty pool ({})",
-            pool.describe()
-        );
-        let slots: Vec<Slot> = instances
-            .into_iter()
-            .enumerate()
-            .map(|(i, ty)| Slot {
-                ty,
-                rank: i,
-                free_at: 0.0,
-                retired: false,
-                cost_from: 0.0,
-                cost_until: None,
-                load: 0,
-            })
-            .collect();
-        let idle = (0..slots.len()).map(|i| Reverse((i, i))).collect();
-        StreamingSim {
+    /// Panics if the pool is empty.
+    pub(crate) fn new(pool: &PoolSpec, model: &'a M, spin_up_factor: f64) -> Self {
+        let types = crate::sim::serving_instances(pool);
+        let n = types.len();
+        Lane {
             model,
-            config,
             pool: pool.clone(),
-            slots,
-            idle,
-            busy: BinaryHeap::new(),
-            last_arrival: 0.0,
-            last_completion: 0.0,
-            last_latency: 0.0,
-            makespan: 0.0,
-            latencies: Vec::new(),
-            assigned: Vec::new(),
-            latency_sum: 0.0,
-            satisfied: 0,
-            num_queries: 0,
-            record_per_query: true,
+            bills: types
+                .iter()
+                .map(|ty| SlotBilling::launch(*ty, 0.0))
+                .collect(),
+            types,
+            load: vec![0; n],
+            queue: SlotQueue::new(n),
+            spin_up_factor,
+            clock: 0.0,
             serving_variant: 0,
             variant_served: vec![0; model.num_variants().max(1) as usize],
-            window_buf: WindowBuf::default(),
-            win_lats: Vec::new(),
-            next_window: 0,
             reconfigurations: Vec::new(),
-            tier: None,
         }
     }
 
-    /// Switches the simulator into tiered mode. Must be called before the first push;
-    /// from then on queries are pushed with [`StreamingSim::push_tiered_into`] and
-    /// every closed window carries a per-tier breakdown. A set consisting of a single
-    /// plain standard tier serves bit-identically to the untiered simulator.
-    ///
-    /// # Panics
-    /// Panics if queries were already pushed.
-    pub fn enable_tiers(&mut self, set: TierSet) {
-        assert!(
-            self.num_queries == 0 && self.window_buf.is_empty(),
-            "tiers must be enabled before the first query"
-        );
-        let firm_free_at = self.slots.iter().map(|s| s.free_at).collect();
-        self.tier = Some(TierRuntime {
-            ledger: TierLedger::new(set),
-            firm_free_at,
-        });
+    /// Switches dispatch to tiered mode (firm clocks for premium overtaking).
+    pub(crate) fn enable_tiers(&mut self) {
+        self.queue.enable_firm();
     }
 
-    /// The tier set, when tiered mode is enabled.
-    pub fn tier_set(&self) -> Option<&TierSet> {
-        self.tier.as_ref().map(|rt| &rt.ledger.set)
-    }
-
-    /// Whole-stream per-tier totals, in tier-set order; empty when untiered.
-    pub fn tier_totals(&self) -> &[TierTotals] {
-        self.tier.as_ref().map_or(&[], |rt| &rt.ledger.totals)
-    }
-
-    /// Toggles per-query recording (the O(stream) `latencies`/`assigned` vectors).
-    ///
-    /// With recording off the simulator runs in constant memory: counters
-    /// (`num_queries`, `satisfied`, `latency_sum`, `makespan`) and every window statistic
-    /// stay exact, but [`StreamingSim::latencies`] / [`StreamingSim::assigned_slots`]
-    /// stay empty and [`StreamingSim::stats`] reports a `0.0` whole-stream tail (no
-    /// samples to rank). Intended for the multi-million-query scale runs.
-    pub fn set_record_per_query(&mut self, record: bool) {
-        self.record_per_query = record;
-    }
-
-    /// The stream clock: arrival time of the last pushed query.
+    /// Arrival time of the last query dispatched (or dropped) on this lane.
     pub fn clock(&self) -> f64 {
-        self.last_arrival
+        self.clock
+    }
+
+    /// Queries this lane served.
+    pub fn num_queries(&self) -> usize {
+        self.variant_served.iter().sum::<u64>() as usize
+    }
+
+    /// The current pool configuration.
+    pub fn current_pool(&self) -> &PoolSpec {
+        &self.pool
+    }
+
+    /// Reconfigurations applied so far, in order.
+    pub fn reconfigurations(&self) -> &[Reconfiguration] {
+        &self.reconfigurations
+    }
+
+    /// Queries served per slot, over every slot ever launched (including retired ones).
+    pub fn per_slot_load(&self) -> Vec<u64> {
+        self.load.clone()
     }
 
     /// The palette index of the variant currently timing new dispatches.
@@ -718,327 +380,38 @@ impl<'a, M: LatencyModel + ?Sized> StreamingSim<'a, M> {
         &self.variant_served
     }
 
-    /// The current pool configuration.
-    pub fn current_pool(&self) -> &PoolSpec {
-        &self.pool
+    /// Earliest time at or after `at` when some instance could start a query of `class`
+    /// (premium waits only on the firm clocks). Spin-up delays are respected.
+    pub(crate) fn next_available_at(&self, at: f64, class: AdmissionClass) -> f64 {
+        self.queue.next_available_at(at, class)
     }
 
-    /// Reconfigurations applied so far, in order.
-    pub fn reconfigurations(&self) -> &[Reconfiguration] {
-        &self.reconfigurations
-    }
-
-    /// Per-query latencies in arrival order (identical to
-    /// [`crate::SimResult::latencies`] while no reconfiguration has occurred).
-    pub fn latencies(&self) -> &[f64] {
-        &self.latencies
-    }
-
-    /// Queries pushed so far. Unlike `latencies().len()` this counter stays exact when
-    /// per-query recording is off.
-    pub fn num_queries(&self) -> usize {
-        self.num_queries
-    }
-
-    /// Which slot served each query, in arrival order (slot indices coincide with
-    /// `pool.expand()` indices until the first reconfiguration).
-    pub fn assigned_slots(&self) -> &[usize] {
-        &self.assigned
-    }
-
-    /// Queries served per slot, over every slot ever launched (including retired ones).
-    pub fn per_slot_load(&self) -> Vec<u64> {
-        self.slots.iter().map(|s| s.load).collect()
-    }
-
-    /// Completion time of the last-finishing query so far.
-    pub fn makespan(&self) -> f64 {
-        self.makespan
-    }
-
-    /// Exact completion time of the most recently pushed query (`0.0` before any push).
-    /// The fleet router reads this instead of re-deriving `arrival + latency`, which is
-    /// not bit-exact under floating-point arithmetic.
-    pub fn last_completion(&self) -> f64 {
-        self.last_completion
-    }
-
-    /// Exact latency of the most recently pushed query (`0.0` before any push). Like
-    /// [`StreamingSim::last_completion`] this is the stored value, not a re-derivation,
-    /// and stays available when per-query recording is off.
-    pub fn last_latency(&self) -> f64 {
-        self.last_latency
-    }
-
-    /// Earliest time at or after `at` when some instance could *start* serving a new
-    /// query: `at` itself if any instance is idle (or frees by `at`), otherwise the
-    /// earliest `free_at` in the busy heap. Spin-up delays are respected (a launched
-    /// instance sits in the busy heap until ready). Used by the fleet router's
-    /// availability-based routing; never mutates the heaps.
-    pub fn next_available_at(&self, at: f64) -> f64 {
-        // Tiered pushes bypass the heaps (see `push_tiered_into`), so tiered mode
-        // answers from a slot scan; the scan returns exactly the heap answer for any
-        // `at` at or past the stream clock.
-        if self.tier.is_some() {
-            return self.scan_available(at, |_, slot| slot.free_at);
-        }
-        if !self.idle.is_empty() {
-            return at;
-        }
-        match self.busy.peek() {
-            Some(b) => b.free_at.max(at),
-            None => at,
-        }
-    }
-
-    /// Tier-aware form of [`StreamingSim::next_available_at`]: a premium query waits
-    /// only on the firm clock (it may overtake queued best-effort work), every other
-    /// class waits on the full clock. Falls back to the plain answer when untiered.
-    pub fn next_available_at_tier(&self, at: f64, tier: u32) -> f64 {
-        let Some(rt) = &self.tier else {
-            return self.next_available_at(at);
-        };
-        match rt.ledger.set.tiers()[tier as usize].class {
-            AdmissionClass::Premium => self.scan_available(at, |i, _| rt.firm_free_at[i]),
-            _ => self.scan_available(at, |_, slot| slot.free_at),
-        }
-    }
-
-    /// Earliest start time at or after `at` under the given per-slot clock: `at` when
-    /// some active slot's clock is at or before `at`, otherwise the minimum clock.
-    fn scan_available(&self, at: f64, clock: impl Fn(usize, &Slot) -> f64) -> f64 {
-        let mut earliest = f64::INFINITY;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.retired {
-                continue;
-            }
-            let c = clock(i, slot);
-            if c <= at {
-                return at;
-            }
-            if c < earliest {
-                earliest = c;
-            }
-        }
-        if earliest.is_finite() {
-            earliest
-        } else {
-            at
-        }
-    }
-
-    /// Advances the simulation by one query and returns every monitoring window the new
-    /// arrival clock proved complete (usually none, one when the clock crosses a window
-    /// boundary).
-    ///
-    /// Queries must be pushed in non-decreasing arrival order (debug-asserted), exactly as
-    /// the batch simulator requires of its input slice.
-    pub fn push(&mut self, q: &Query) -> Vec<WindowStats> {
-        let mut closed = Vec::new();
-        self.push_into(q, &mut closed);
-        closed
-    }
-
-    /// Non-allocating form of [`StreamingSim::push`]: closed windows are appended to
-    /// `closed` (which the caller typically `drain`s and reuses), keeping the hot path
-    /// free of per-query heap allocation.
-    pub fn push_into(&mut self, q: &Query, closed: &mut Vec<WindowStats>) {
-        self.push_raw(q.arrival, q.batch_size, closed);
-    }
-
-    /// Columnar batched push: arrival/batch-size columns are replayed in lockstep,
-    /// equivalent to pushing the same queries one by one (query ids carry no simulation
-    /// meaning). The columns must be equally long and arrival-ordered.
-    pub fn push_columns(
-        &mut self,
-        arrivals: &[f64],
-        batches: &[u32],
-        closed: &mut Vec<WindowStats>,
-    ) {
-        assert_eq!(
-            arrivals.len(),
-            batches.len(),
-            "arrival/batch columns must be equally long"
-        );
-        for (&arrival, &batch_size) in arrivals.iter().zip(batches) {
-            self.push_raw(arrival, batch_size, closed);
-        }
-    }
-
-    fn push_raw(&mut self, arrival: f64, batch_size: u32, closed: &mut Vec<WindowStats>) {
-        debug_assert!(
-            arrival >= self.last_arrival,
-            "queries must be pushed in arrival order"
-        );
-        // Close every window that ends at or before this arrival: no earlier arrival can
-        // come later, so those windows are complete.
-        while arrival >= self.window_end(self.next_window) {
-            let w = self.close_next_window(true);
-            closed.push(w);
-        }
-
-        // The two-heap dispatch, bit-identical to `sim::drive`.
-        while let Some(top) = self.busy.peek() {
-            if top.free_at <= arrival {
-                let b = self.busy.pop().expect("peeked entry exists");
-                self.idle.push(Reverse((b.rank, b.slot)));
-            } else {
-                break;
-            }
-        }
-        let (slot_idx, start) = match self.idle.pop() {
-            Some(Reverse((_, slot))) => (slot, arrival),
-            None => {
-                let b = self.busy.pop().expect("non-empty pool has a busy instance");
-                (b.slot, b.free_at)
-            }
-        };
-        let slot = &mut self.slots[slot_idx];
-        // Variant 0 takes the plain entry point so a variant-less run never depends on
-        // a model's `service_time_variant` override being baseline-exact at index 0.
-        let service = if self.serving_variant == 0 {
-            self.model.service_time(slot.ty, batch_size).max(0.0)
-        } else {
-            self.model
-                .service_time_variant(self.serving_variant, slot.ty, batch_size)
-                .max(0.0)
-        };
-        self.variant_served[self.serving_variant as usize] += 1;
-        let completion = start + service;
-        slot.free_at = completion;
-        slot.load += 1;
-        self.busy.push(BusySlot {
-            free_at: completion,
-            rank: slot.rank,
-            slot: slot_idx,
-        });
-        if completion > self.makespan {
-            self.makespan = completion;
-        }
-
-        self.last_completion = completion;
-        let latency = completion - arrival;
-        self.last_latency = latency;
-        self.latency_sum += latency;
-        if latency <= self.config.target_latency_s {
-            self.satisfied += 1;
-        }
-        self.num_queries += 1;
-        if self.record_per_query {
-            self.latencies.push(latency);
-            self.assigned.push(slot_idx);
-        }
-        self.window_buf.push(arrival, completion, latency);
-        self.last_arrival = arrival;
-    }
-
-    /// Advances a **tiered** simulation by one query of the given tier (see
-    /// [`StreamingSim::enable_tiers`]); closed windows are appended to `closed`.
-    ///
-    /// Dispatch follows the tier's [`AdmissionClass`]: standard replicates the untiered
-    /// FCFS rule float-for-float; premium dispatches against the firm clock and may
-    /// overtake (preempt) queued best-effort work, pushing that backlog back by its
-    /// service time; best-effort dispatches FCFS but never advances the firm clock, and
-    /// is dropped at admission when its queueing wait would exceed the tier's cap.
-    /// A dropped query advances the stream clock but is not served (it appears in drop
-    /// counts, never in `num_queries`).
-    ///
-    /// # Panics
-    /// Panics when tiers are not enabled or `tier` is outside the set.
-    pub fn push_tiered_into(
+    /// Dispatches one query of `class` (see [`SlotQueue`]); `None` when it is dropped
+    /// at admission. Either way the lane clock advances to its arrival.
+    pub(crate) fn dispatch(
         &mut self,
         q: &Query,
-        tier: u32,
-        closed: &mut Vec<WindowStats>,
-    ) -> TierPush {
-        let (arrival, batch_size) = (q.arrival, q.batch_size);
-        debug_assert!(
-            arrival >= self.last_arrival,
-            "queries must be pushed in arrival order"
-        );
-        assert!(
-            self.tier.is_some(),
-            "push_tiered_into requires enable_tiers"
-        );
-        while arrival >= self.window_end(self.next_window) {
-            let w = self.close_next_window(true);
-            closed.push(w);
-        }
-
-        let rt = self.tier.as_ref().expect("tiered mode is enabled");
-        let spec = &rt.ledger.set.tiers()[tier as usize];
-        let class = spec.class;
-        let cap = spec.admission_cap_s;
-        let (slot_idx, start) = match class {
-            AdmissionClass::Premium => {
-                let firm = &rt.firm_free_at;
-                select_tiered(&self.slots, arrival, |i, _| firm[i])
-            }
-            _ => select_tiered(&self.slots, arrival, |_, slot| slot.free_at),
-        };
-
-        if class == AdmissionClass::BestEffort {
-            if let Some(cap) = cap {
-                if start - arrival > cap {
-                    let rt = self.tier.as_mut().expect("tiered mode is enabled");
-                    rt.ledger.record_drop(tier, arrival);
-                    self.last_arrival = arrival;
-                    return TierPush::Dropped;
-                }
-            }
-        }
-        let preempted = class == AdmissionClass::Premium && start < self.slots[slot_idx].free_at;
-
-        let ty = self.slots[slot_idx].ty;
-        let service = if self.serving_variant == 0 {
-            self.model.service_time(ty, batch_size).max(0.0)
-        } else {
-            self.model
-                .service_time_variant(self.serving_variant, ty, batch_size)
-                .max(0.0)
-        };
-        self.variant_served[self.serving_variant as usize] += 1;
-        let completion = start + service;
-        {
-            let slot = &mut self.slots[slot_idx];
-            if preempted {
-                // The premium query runs now; the displaced best-effort backlog (the
-                // gap between the firm and full clocks) is pushed back by its service
-                // time. Already-reported best-effort completions stand (forward-only
-                // preemption — see the tier module docs).
-                slot.free_at += service;
+        class: AdmissionClass,
+        cap: Option<f64>,
+    ) -> Option<Dispatch> {
+        let (model, types, variant) = (self.model, &self.types, self.serving_variant);
+        // Variant 0 takes the plain entry point so a variant-less run never depends on
+        // a model's `service_time_variant` override being baseline-exact at index 0.
+        let served = self.queue.dispatch(q.arrival, class, cap, |slot| {
+            if variant == 0 {
+                model.service_time(types[slot], q.batch_size).max(0.0)
             } else {
-                slot.free_at = completion;
+                model
+                    .service_time_variant(variant, types[slot], q.batch_size)
+                    .max(0.0)
             }
-            slot.load += 1;
+        });
+        self.clock = q.arrival;
+        if let Some(d) = &served {
+            self.load[d.slot] += 1;
+            self.variant_served[variant as usize] += 1;
         }
-        if completion > self.makespan {
-            self.makespan = completion;
-        }
-
-        self.last_completion = completion;
-        let latency = completion - arrival;
-        self.last_latency = latency;
-        self.latency_sum += latency;
-        if latency <= self.config.target_latency_s {
-            self.satisfied += 1;
-        }
-        self.num_queries += 1;
-        if self.record_per_query {
-            self.latencies.push(latency);
-            self.assigned.push(slot_idx);
-        }
-        self.window_buf
-            .push_tiered(arrival, completion, latency, tier);
-        let target = self.config.target_latency_s;
-        let rt = self.tier.as_mut().expect("tiered mode is enabled");
-        if class != AdmissionClass::BestEffort {
-            rt.firm_free_at[slot_idx] = completion;
-        }
-        rt.ledger
-            .record_serve(tier, arrival, latency, target, preempted);
-        self.last_arrival = arrival;
-        TierPush::Served { preempted }
+        served
     }
 
     /// Replaces the serving pool mid-stream.
@@ -1058,97 +431,52 @@ impl<'a, M: LatencyModel + ?Sized> StreamingSim<'a, M> {
             "cannot reconfigure to an empty pool ({})",
             new_pool.describe()
         );
-        let at = at_s.max(self.last_arrival);
-        let old_pool = self.pool.clone();
+        let at = at_s.max(self.clock);
+        let old_pool = std::mem::replace(&mut self.pool, new_pool.clone());
+        let launched_before = self.types.len();
 
         // Active slots per type, in current rank order (deterministic survivor choice:
         // the highest-preference instances of a type survive, the tail retires).
         let mut active_by_type: BTreeMap<InstanceType, Vec<usize>> = BTreeMap::new();
-        let mut active: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| !self.slots[i].retired)
-            .collect();
-        active.sort_by_key(|&i| self.slots[i].rank);
-        for i in active {
-            active_by_type.entry(self.slots[i].ty).or_default().push(i);
+        for &i in self.queue.ranked() {
+            active_by_type.entry(self.types[i]).or_default().push(i);
         }
-
         let mut order: Vec<usize> = Vec::with_capacity(new_pool.total_instances() as usize);
-        let mut retired = 0usize;
-        let mut launched = 0usize;
-        let mut ready_at = at;
+        let mut retiring: Vec<usize> = Vec::new();
         for (&ty, &count) in new_pool.types.iter().zip(&new_pool.counts) {
             let avail = active_by_type.remove(&ty).unwrap_or_default();
             let keep = avail.len().min(count as usize);
             order.extend_from_slice(&avail[..keep]);
-            for &i in &avail[keep..] {
-                self.retire_slot(i, at);
-                retired += 1;
-            }
+            retiring.extend_from_slice(&avail[keep..]);
             for _ in keep..count as usize {
-                let free_at = at + ty.spin_up_s() * self.config.spin_up_factor;
-                ready_at = ready_at.max(free_at);
-                self.slots.push(Slot {
-                    ty,
-                    rank: 0, // reassigned below
-                    free_at,
-                    retired: false,
-                    cost_from: at,
-                    cost_until: None,
-                    load: 0,
-                });
-                order.push(self.slots.len() - 1);
-                launched += 1;
+                order.push(self.types.len());
+                self.types.push(ty);
+                self.bills.push(SlotBilling::launch(ty, at));
+                self.load.push(0);
             }
         }
         // Types absent from the new pool retire entirely.
-        for (_, leftovers) in active_by_type {
-            for i in leftovers {
-                self.retire_slot(i, at);
-                retired += 1;
-            }
+        retiring.extend(active_by_type.into_values().flatten());
+        for &i in &retiring {
+            // Busy slots bill until their in-flight query drains; idle ones stop now.
+            self.bills[i].cost_until = Some(self.queue.clock(i).max(at));
         }
-
-        // Reassign ranks in new-pool order and rebuild both heaps.
-        self.idle.clear();
-        self.busy.clear();
-        for (rank, &i) in order.iter().enumerate() {
-            self.slots[i].rank = rank;
-            if self.slots[i].free_at <= at {
-                self.idle.push(Reverse((rank, i)));
-            } else {
-                self.busy.push(BusySlot {
-                    free_at: self.slots[i].free_at,
-                    rank,
-                    slot: i,
-                });
-            }
-        }
-        self.pool = new_pool.clone();
-        // Tiered mode: survivors keep their firm clock; a launched slot's firm clock is
-        // its spin-up readiness (its `free_at`), like any other firm work.
-        if let Some(rt) = self.tier.as_mut() {
-            for i in rt.firm_free_at.len()..self.slots.len() {
-                rt.firm_free_at.push(self.slots[i].free_at);
-            }
-        }
+        let (types, factor) = (&self.types, self.spin_up_factor);
+        let ready = |i: usize| at + types[i].spin_up_s() * factor;
+        self.queue.reorder(&order, ready);
 
         let event = Reconfiguration {
             at_s: at,
             old_pool,
             new_pool: new_pool.clone(),
-            retired,
-            launched,
-            ready_at_s: ready_at,
+            retired: retiring.len(),
+            launched: self.types.len() - launched_before,
+            ready_at_s: (launched_before..self.types.len())
+                .map(ready)
+                .fold(at, f64::max),
         };
         self.reconfigurations.push(event.clone());
         event
-    }
-
-    fn retire_slot(&mut self, i: usize, at: f64) {
-        let slot = &mut self.slots[i];
-        slot.retired = true;
-        // Busy slots bill until their in-flight query drains; idle ones stop billing now.
-        slot.cost_until = Some(slot.free_at.max(at));
     }
 
     /// Exact accrued cost in USD from stream start to time `t`, summing every slot's own
@@ -1156,42 +484,241 @@ impl<'a, M: LatencyModel + ?Sized> StreamingSim<'a, M> {
     /// instances and the spinning-up new ones are billed — the real price of a
     /// reconfiguration.
     pub fn cost_so_far(&self, t: f64) -> f64 {
-        self.slots
-            .iter()
-            .map(|s| {
-                let end = s.cost_until.unwrap_or(t).min(t);
-                let span = (end - s.cost_from).max(0.0);
-                s.ty.hourly_price() * span / 3600.0
-            })
-            .sum()
+        cost_from_billing(&self.bills, t)
     }
 
     /// Billing record of every slot ever launched, in slot order. See [`SlotBilling`]
     /// for the post-hoc cost-reconstruction contract.
     pub fn billing(&self) -> Vec<SlotBilling> {
-        self.slots
-            .iter()
-            .map(|s| SlotBilling {
-                hourly_price: s.ty.hourly_price(),
-                cost_from: s.cost_from,
-                cost_until: s.cost_until,
-            })
-            .collect()
+        self.bills.clone()
+    }
+}
+
+/// The resumable streaming simulator: one [`Lane`] plus its window accounting. See the
+/// module docs for semantics.
+pub struct StreamingSim<'a, M: LatencyModel + ?Sized> {
+    lane: Lane<'a, M>,
+    windows: WindowAccumulator,
+    /// Which slot served each query, while per-query recording is on.
+    assigned: Vec<usize>,
+}
+
+impl<'a, M: LatencyModel + ?Sized> StreamingSim<'a, M> {
+    /// Creates a streaming simulation of `pool` under `model`.
+    ///
+    /// # Panics
+    /// Panics if the pool is empty or the window config is invalid.
+    pub fn new(pool: &PoolSpec, model: &'a M, config: StreamingSimConfig) -> Self {
+        config.window.validate();
+        StreamingSim {
+            lane: Lane::new(pool, model, config.spin_up_factor),
+            windows: WindowAccumulator::new(
+                config.target_latency_s,
+                config.tail_percentile,
+                config.window,
+            ),
+            assigned: Vec::new(),
+        }
+    }
+
+    /// Switches the simulator into tiered mode. Must be called before the first push;
+    /// from then on queries are pushed with [`StreamingSim::push_tiered_into`] and
+    /// every closed window carries a per-tier breakdown. A set consisting of a single
+    /// plain standard tier serves bit-identically to the untiered simulator.
+    ///
+    /// # Panics
+    /// Panics if queries were already pushed.
+    pub fn enable_tiers(&mut self, set: TierSet) {
+        self.windows.enable_tiers(set);
+        self.lane.enable_tiers();
+    }
+
+    /// The tier set, when tiered mode is enabled.
+    pub fn tier_set(&self) -> Option<&TierSet> {
+        self.windows.tier_set()
+    }
+
+    /// Whole-stream per-tier totals, in tier-set order; empty when untiered.
+    pub fn tier_totals(&self) -> &[TierTotals] {
+        self.windows.tier_totals()
+    }
+
+    /// Toggles per-query recording (the O(stream) `latencies`/`assigned` vectors).
+    ///
+    /// With recording off the simulator's memory is bounded by the arrivals of its open
+    /// windows: counters (`num_queries`, `satisfied`, `latency_sum`, `makespan`) and
+    /// every window statistic stay exact, but [`StreamingSim::latencies`] /
+    /// [`StreamingSim::assigned_slots`] stay empty and [`StreamingSim::stats`] reports a
+    /// `0.0` whole-stream tail (no samples to rank). Intended for the
+    /// multi-million-query scale runs.
+    pub fn set_record_per_query(&mut self, record: bool) {
+        self.windows.record_per_query = record;
+    }
+
+    /// The stream clock: arrival time of the last pushed query.
+    pub fn clock(&self) -> f64 {
+        self.lane.clock()
+    }
+
+    /// The palette index of the variant currently timing new dispatches.
+    pub fn serving_variant(&self) -> u32 {
+        self.lane.serving_variant()
+    }
+
+    /// See [`Lane::set_serving_variant`].
+    pub fn set_serving_variant(&mut self, variant: u32) {
+        self.lane.set_serving_variant(variant);
+    }
+
+    /// Queries served per variant palette index, over the whole stream so far.
+    pub fn variant_served(&self) -> &[u64] {
+        self.lane.variant_served()
+    }
+
+    /// The current pool configuration.
+    pub fn current_pool(&self) -> &PoolSpec {
+        self.lane.current_pool()
+    }
+
+    /// Reconfigurations applied so far, in order.
+    pub fn reconfigurations(&self) -> &[Reconfiguration] {
+        self.lane.reconfigurations()
+    }
+
+    /// Per-query latencies in arrival order (identical to
+    /// [`crate::SimResult::latencies`] while no reconfiguration has occurred).
+    pub fn latencies(&self) -> &[f64] {
+        self.windows.latencies()
+    }
+
+    /// Queries served so far. Unlike `latencies().len()` this counter stays exact when
+    /// per-query recording is off.
+    pub fn num_queries(&self) -> usize {
+        self.windows.num_queries()
+    }
+
+    /// Which slot served each query, in arrival order (slot indices coincide with
+    /// `pool.expand()` indices until the first reconfiguration).
+    pub fn assigned_slots(&self) -> &[usize] {
+        &self.assigned
+    }
+
+    /// Queries served per slot, over every slot ever launched (including retired ones).
+    pub fn per_slot_load(&self) -> Vec<u64> {
+        self.lane.per_slot_load()
+    }
+
+    /// Completion time of the last-finishing query so far.
+    pub fn makespan(&self) -> f64 {
+        self.windows.makespan()
+    }
+
+    /// Advances the simulation by one query and returns every monitoring window the new
+    /// arrival clock proved complete (usually none, one when the clock crosses a window
+    /// boundary).
+    ///
+    /// Queries must be pushed in non-decreasing arrival order (debug-asserted), exactly as
+    /// the batch simulator requires of its input slice.
+    pub fn push(&mut self, q: &Query) -> Vec<WindowStats> {
+        let mut closed = Vec::new();
+        self.push_into(q, &mut closed);
+        closed
+    }
+
+    /// Non-allocating form of [`StreamingSim::push`]: closed windows are appended to
+    /// `closed` (which the caller typically `drain`s and reuses), keeping the hot path
+    /// free of per-query heap allocation.
+    pub fn push_into(&mut self, q: &Query, closed: &mut Vec<WindowStats>) {
+        self.push_as(q, 0, AdmissionClass::Standard, None, closed);
+    }
+
+    /// Advances a **tiered** simulation by one query of the given tier (see
+    /// [`StreamingSim::enable_tiers`]); closed windows are appended to `closed`.
+    ///
+    /// Dispatch follows the tier's [`AdmissionClass`] (see the tier module docs): standard
+    /// replicates the untiered FCFS rule float-for-float; premium may overtake queued
+    /// best-effort work; best-effort is dropped at admission when its queueing wait
+    /// would exceed the tier's cap. A dropped query advances the stream clock but is not
+    /// served (it appears in drop counts, never in `num_queries`).
+    ///
+    /// # Panics
+    /// Panics when tiers are not enabled or `tier` is outside the set.
+    pub fn push_tiered_into(
+        &mut self,
+        q: &Query,
+        tier: u32,
+        closed: &mut Vec<WindowStats>,
+    ) -> TierPush {
+        assert!(
+            self.windows.tier_set().is_some(),
+            "push_tiered_into requires enable_tiers"
+        );
+        let (class, cap) = self.windows.class_of(tier);
+        self.push_as(q, tier, class, cap, closed)
+    }
+
+    fn push_as(
+        &mut self,
+        q: &Query,
+        tier: u32,
+        class: AdmissionClass,
+        cap: Option<f64>,
+        closed: &mut Vec<WindowStats>,
+    ) -> TierPush {
+        debug_assert!(
+            q.arrival >= self.lane.clock(),
+            "queries must be pushed in arrival order"
+        );
+        // Close every window that ends at or before this arrival: no earlier arrival can
+        // come later, so those windows are complete.
+        let lane = &self.lane;
+        self.windows.close_until(
+            q.arrival,
+            || lane.current_pool().hourly_cost(),
+            |t| lane.cost_so_far(t),
+            |w| closed.push(w),
+        );
+        let Some(d) = self.lane.dispatch(q, class, cap) else {
+            self.windows.record_drop(tier, q.arrival);
+            return TierPush::Dropped;
+        };
+        self.windows
+            .record(q.arrival, d.completion, tier, d.preempted);
+        if self.windows.record_per_query {
+            self.assigned.push(d.slot);
+        }
+        TierPush::Served {
+            preempted: d.preempted,
+        }
+    }
+
+    /// See [`Lane::reconfigure`].
+    pub fn reconfigure(&mut self, new_pool: &PoolSpec, at_s: f64) -> Reconfiguration {
+        self.lane.reconfigure(new_pool, at_s)
+    }
+
+    /// See [`Lane::cost_so_far`].
+    pub fn cost_so_far(&self, t: f64) -> f64 {
+        self.lane.cost_so_far(t)
+    }
+
+    /// See [`Lane::billing`].
+    pub fn billing(&self) -> Vec<SlotBilling> {
+        self.lane.billing()
     }
 
     /// Closes and returns every remaining window with arrivals (the last may be partial:
     /// its `end_s` can extend past the final arrival). Call once after the stream ends.
     pub fn finish_windows(&mut self) -> Vec<WindowStats> {
         let mut out = Vec::new();
-        // `<=` so an arrival landing exactly on a window boundary still gets its
-        // window. A final window may hold admission drops alone (every arrival in it
-        // dropped), so undrained tier events keep the flush going too.
-        while self.window_start(self.next_window) <= self.last_arrival
-            && (!self.window_buf.is_empty()
-                || self.tier.as_ref().is_some_and(|rt| rt.ledger.has_events()))
-        {
-            out.push(self.close_next_window(false));
-        }
+        let (lane, makespan) = (&self.lane, self.windows.makespan());
+        self.windows.finish(
+            lane.clock(),
+            makespan,
+            || lane.current_pool().hourly_cost(),
+            |t| lane.cost_so_far(t),
+            |w| out.push(w),
+        );
         out
     }
 
@@ -1199,121 +726,7 @@ impl<'a, M: LatencyModel + ?Sized> StreamingSim<'a, M> {
     /// [`crate::simulate_stats`] on the same inputs while no reconfiguration has occurred
     /// (same accumulation order, same selection algorithm for the tail).
     pub fn stats(&self) -> SimStats {
-        let n = self.num_queries;
-        let mean_latency_s = if n == 0 {
-            0.0
-        } else {
-            self.latency_sum / n as f64
-        };
-        let mut buf = self.latencies.clone();
-        let tail_latency_s =
-            ribbon_linalg::stats::percentile_in_place(&mut buf, self.config.tail_percentile)
-                .unwrap_or(0.0);
-        SimStats {
-            num_queries: n,
-            satisfied: self.satisfied,
-            mean_latency_s,
-            tail_latency_s,
-            makespan: self.makespan,
-        }
-    }
-
-    fn window_start(&self, index: u64) -> f64 {
-        index as f64 * self.config.window.step_s
-    }
-
-    fn window_end(&self, index: u64) -> f64 {
-        self.window_start(index) + self.config.window.length_s
-    }
-
-    /// Computes stats for window `next_window`, evicts entries no later window needs, and
-    /// advances the window counter. `complete` distinguishes windows closed because an
-    /// arrival crossed their end (full-length span) from partial windows flushed after the
-    /// stream ended.
-    fn close_next_window(&mut self, complete: bool) -> WindowStats {
-        let index = self.next_window;
-        let start = self.window_start(index);
-        let end = self.window_end(index);
-
-        let mut num = 0usize;
-        let mut satisfied = 0usize;
-        let mut completed_in_window = 0usize;
-        let mut sum = 0.0f64;
-        self.win_lats.clear();
-        for i in 0..self.window_buf.arrival.len() {
-            let arrival = self.window_buf.arrival[i];
-            if arrival >= end {
-                break; // buffer is arrival-ordered
-            }
-            if arrival < start {
-                continue;
-            }
-            let latency = self.window_buf.latency[i];
-            num += 1;
-            sum += latency;
-            if latency <= self.config.target_latency_s {
-                satisfied += 1;
-            }
-            if self.window_buf.completion[i] < end {
-                completed_in_window += 1;
-            }
-            self.win_lats.push(latency);
-        }
-        let tail = ribbon_linalg::stats::percentile_in_place(
-            &mut self.win_lats,
-            self.config.tail_percentile,
-        );
-        // Rates divide by the *observed* span: a window closed mid-stream (an arrival
-        // crossed its end) spans its full length, but a partial window flushed after the
-        // stream ends only saw `last_arrival − start` seconds of traffic — dividing that
-        // by the full length would fake a load drop in the last window.
-        let observed = self.last_arrival.min(end) - start;
-        let span = if complete || observed <= 0.0 {
-            self.config.window.length_s
-        } else {
-            observed
-        };
-        // The per-tier breakdown runs after (and never perturbs) the shared fields.
-        let tiers = match self.tier.as_mut() {
-            Some(rt) => rt.ledger.close_window(
-                &self.window_buf,
-                start,
-                end,
-                self.config.target_latency_s,
-                self.config.tail_percentile,
-            ),
-            None => Vec::new(),
-        };
-        let stats = WindowStats {
-            index,
-            start_s: start,
-            end_s: end,
-            num_queries: num,
-            satisfied,
-            satisfaction_rate: (num > 0).then(|| satisfied as f64 / num as f64),
-            mean_latency_s: (num > 0).then(|| sum / num as f64),
-            tail_latency_s: tail,
-            arrival_qps: num as f64 / span,
-            throughput_qps: completed_in_window as f64 / span,
-            pool_hourly_cost: self.pool.hourly_cost(),
-            // A partial final window must not bill past the end of the run: clamp to the
-            // later of the last arrival and the last completion.
-            cost_so_far_usd: self.cost_so_far(if complete {
-                end
-            } else {
-                end.min(self.makespan.max(self.last_arrival))
-            }),
-            tiers,
-        };
-
-        // Entries arriving before the next window's start are never needed again.
-        self.next_window += 1;
-        let horizon = self.window_start(self.next_window);
-        self.window_buf.evict_before(horizon);
-        if let Some(rt) = self.tier.as_mut() {
-            rt.ledger.evict_before(horizon);
-        }
-        stats
+        self.windows.stats()
     }
 }
 
@@ -1628,35 +1041,6 @@ mod tests {
         };
         s.push(&q2);
         assert_eq!(s.assigned_slots()[2], 1, "ready g4dn takes preference");
-    }
-
-    #[test]
-    fn columnar_batched_push_is_bit_identical_to_per_query_push() {
-        let pool = PoolSpec::new(
-            vec![InstanceType::G4dn, InstanceType::C5, InstanceType::T3],
-            vec![2, 2, 3],
-        );
-        let m = model();
-        let queries = stream(700.0, 5000, 13);
-        let arrivals: Vec<f64> = queries.iter().map(|q| q.arrival).collect();
-        let batches: Vec<u32> = queries.iter().map(|q| q.batch_size).collect();
-
-        let mut a = StreamingSim::new(&pool, &m, cfg(0.5));
-        let mut wa = Vec::new();
-        for q in &queries {
-            wa.extend(a.push(q));
-        }
-        wa.extend(a.finish_windows());
-
-        let mut b = StreamingSim::new(&pool, &m, cfg(0.5));
-        let mut wb = Vec::new();
-        b.push_columns(&arrivals, &batches, &mut wb);
-        wb.extend(b.finish_windows());
-
-        assert_eq!(wa, wb, "windows must be bit-identical");
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.latencies(), b.latencies());
-        assert_eq!(a.cost_so_far(60.0), b.cost_so_far(60.0));
     }
 
     #[test]
