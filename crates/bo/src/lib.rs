@@ -24,5 +24,5 @@ pub use acquisition::{
 };
 pub use ask_tell::{Optimizer, Outcome};
 pub use optimizer::{BoError, BoOptimizer, BoSettings, Observation, Suggestion};
-pub use space::{ConfigLattice, PruneSet};
+pub use space::{ConfigLattice, OpenSet, PruneSet, MAX_LATTICE_POINTS};
 pub use tpe::{TpeOptimizer, TpeSettings};

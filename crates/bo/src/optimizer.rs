@@ -13,30 +13,36 @@
 //!
 //! # Hot-path structure
 //!
-//! Two per-`suggest` costs are kept incremental (with the historical from-scratch behaviour
-//! preserved behind [`BoSettings::reuse_surrogate`] `= false` as a differential oracle):
+//! The per-`suggest` costs are kept incremental or batched (with the historical
+//! from-scratch behaviour preserved behind [`BoSettings::reuse_surrogate`] `= false` as a
+//! differential oracle):
 //!
-//! * the **open-candidate set** (un-explored, un-pruned lattice points, in lexicographic
-//!   enumeration order) is maintained across calls — observations remove one point, prune
-//!   boxes remove their covered region — instead of re-enumerating and re-filtering the
-//!   entire lattice on every call;
+//! * the **open set** ([`OpenSet`]: un-explored, un-pruned lattice points) is a sorted
+//!   `Vec<u32>` of lattice ranks maintained across calls — observations remove one rank,
+//!   prune boxes remove their covered region in one decoding pass — instead of
+//!   re-enumerating the lattice; a random ask shuffles a copy of the ranks;
 //! * the **GP surrogate** is an [`IncrementalGridGp`]: each new observation is folded into
 //!   every hyperparameter cell with a rank-1 Cholesky append (O(n²)) instead of refitting
-//!   the whole grid (O(grid · n³)), and the acquisition scan runs through the batched
-//!   [`predict_many`](ribbon_gp::GaussianProcess::predict_many) path.
+//!   the whole grid (O(grid · n³));
+//! * the **acquisition scan** decodes the open ranks chunk by chunk into flat coordinates
+//!   and scores them through the batched
+//!   [`predict_many`](ribbon_gp::GaussianProcess::predict_many), eight points per pass,
+//!   with kernel values looked up in the winning GP's
+//!   [`kernel_table`](ribbon_gp::GaussianProcess::kernel_table) (all lattice coordinates
+//!   are integers). One chunked worker pool serves both the single suggestion and the
+//!   batched ask.
 //!
-//! Both are exact optimizations: suggestions, RNG consumption, and scores are bit-identical
+//! All are exact optimizations: suggestions, RNG consumption, and scores are bit-identical
 //! to the from-scratch path (see `tests/incremental_gp.rs`).
 
 use crate::acquisition::Acquisition;
 use crate::ask_tell::{Optimizer, Outcome};
-use crate::space::{Config, ConfigLattice, PruneSet};
-use rand::seq::SliceRandom;
+use crate::space::{Config, ConfigLattice, OpenSet, PruneSet, RankDecoder};
 use rand::{Rng, RngCore};
 use ribbon_gp::{
-    fit_gp, FitConfig, GaussianProcess, GpError, IncrementalGridGp, Matern52, Rounded,
+    fit_gp, FitConfig, GaussianProcess, GpError, IncrementalGridGp, KernelTable, Matern52,
+    Posterior, Rounded,
 };
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Errors from the BO loop.
@@ -140,21 +146,22 @@ pub struct Suggestion {
     pub source: SuggestionSource,
 }
 
+/// Open points per scan chunk: the unit of work one scan worker claims.
+const SCAN_CHUNK: usize = 1024;
+
+/// Kernel tables beyond this many entries are not built (the scan evaluates the kernel
+/// instead); lattices with per-type bounds up to ~100 in six types stay below it.
+const MAX_KERNEL_TABLE: u64 = 1 << 16;
+
+type Surrogate = GaussianProcess<Rounded<Matern52>>;
+
 /// Bayesian optimizer over an integer configuration lattice.
 pub struct BoOptimizer {
-    lattice: ConfigLattice,
     settings: BoSettings,
     observations: Vec<Observation>,
-    explored: BTreeSet<Config>,
-    prune: PruneSet,
-    /// Un-explored, un-pruned lattice points in lexicographic enumeration order —
-    /// maintained incrementally by `record` / `prune_below` / `prune_above` so `suggest`
-    /// never re-enumerates the lattice. Invariant: equals
-    /// `lattice.enumerate()` filtered by `explored` and `prune`, in enumeration order.
-    open: Vec<Config>,
-    /// Candidates handed out by [`BoOptimizer::ask`] and not yet told or forgotten.
-    /// Removed from `open` so a later ask cannot duplicate an in-flight candidate.
-    pending: Vec<Config>,
+    /// Un-explored, un-pruned, not-in-flight lattice points, maintained incrementally so
+    /// `suggest` never re-enumerates the lattice.
+    open: OpenSet,
     /// Cached incremental surrogate (when `settings.reuse_surrogate`) and the number of
     /// observations already folded into it.
     surrogate: Option<IncrementalGridGp>,
@@ -164,15 +171,10 @@ pub struct BoOptimizer {
 impl BoOptimizer {
     /// Creates an optimizer over `lattice` with the given settings.
     pub fn new(lattice: ConfigLattice, settings: BoSettings) -> Self {
-        let open = lattice.enumerate();
         BoOptimizer {
-            lattice,
             settings,
             observations: Vec::new(),
-            explored: BTreeSet::new(),
-            prune: PruneSet::new(),
-            open,
-            pending: Vec::new(),
+            open: OpenSet::new(lattice),
             surrogate: None,
             fitted_upto: 0,
         }
@@ -180,7 +182,7 @@ impl BoOptimizer {
 
     /// The search lattice.
     pub fn lattice(&self) -> &ConfigLattice {
-        &self.lattice
+        self.open.lattice()
     }
 
     /// All observations so far (including injected estimates).
@@ -206,29 +208,24 @@ impl BoOptimizer {
 
     /// Read access to the prune set.
     pub fn prune_set(&self) -> &PruneSet {
-        &self.prune
+        self.open.prune_set()
     }
 
     /// Marks every configuration dominated by `violator` as unreachable (paper's pruning rule
     /// for configurations that violate QoS by more than the threshold).
     pub fn prune_below(&mut self, violator: Config) {
-        self.open
-            .retain(|c| !crate::space::dominated_by(c, &violator));
-        self.prune.prune_below(violator);
+        self.open.prune_below(violator);
     }
 
     /// Marks every configuration that component-wise exceeds `satisfier` as not worth
     /// sampling (it is at least as expensive and cannot beat the incumbent).
     pub fn prune_above(&mut self, satisfier: Config) {
-        self.open.retain(|c| {
-            !crate::space::dominated_by(&satisfier, c) || c.as_slice() == satisfier.as_slice()
-        });
-        self.prune.prune_above(satisfier);
+        self.open.prune_above(satisfier);
     }
 
     /// Returns `true` if the configuration has been explored (observed or injected).
     pub fn is_explored(&self, config: &[u32]) -> bool {
-        self.explored.contains(config)
+        self.open.is_explored(config)
     }
 
     /// Records a real evaluation of `config`.
@@ -243,20 +240,13 @@ impl BoOptimizer {
     }
 
     fn record(&mut self, config: Config, value: f64, estimated: bool) -> Result<(), BoError> {
-        if !self.lattice.contains(&config) {
+        if !self.lattice().contains(&config) {
             return Err(BoError::InvalidConfig(config));
         }
         if !value.is_finite() {
             return Err(BoError::NonFiniteObjective(value));
         }
-        if self.explored.insert(config.clone()) {
-            // `open` is kept in lexicographic (enumeration) order, so the newly explored
-            // configuration is removed by binary search; it may already be absent if a
-            // prune box covered it.
-            if let Ok(pos) = self.open.binary_search(&config) {
-                self.open.remove(pos);
-            }
-        }
+        self.open.explore(&config);
         self.observations.push(Observation {
             config,
             value,
@@ -265,9 +255,10 @@ impl BoOptimizer {
         Ok(())
     }
 
-    /// Candidate configurations that are neither explored nor pruned, in enumeration order.
-    pub fn open_candidates(&self) -> &[Config] {
-        &self.open
+    /// Ranks ([`ConfigLattice::rank`]) of the candidates that are neither explored, pruned
+    /// nor in flight, ascending — that is, in enumeration order.
+    pub fn open_candidates(&self) -> &[u32] {
+        self.open.ranks()
     }
 
     /// Brings the cached incremental surrogate up to date with the observation history.
@@ -305,52 +296,55 @@ impl BoOptimizer {
         true
     }
 
-    /// Scores one contiguous chunk of the open set sequentially and returns the chunk's
-    /// best `(global index, score)` — the first candidate attaining the maximum, matching
-    /// the from-scratch scan's tie rule. `coords` is a reusable buffer of at least
-    /// `chunk.len()` slots of `dims` coordinates each.
-    fn scan_chunk(
-        &self,
-        gp: &GaussianProcess<Rounded<Matern52>>,
-        chunk: &[Config],
-        offset: usize,
-        incumbent: f64,
-        coords: &mut [Vec<f64>],
-    ) -> Result<(usize, f64), BoError> {
-        for (slot, cfg) in coords.iter_mut().zip(chunk) {
-            for (s, &c) in slot.iter_mut().zip(cfg) {
-                *s = c as f64;
-            }
+    /// Incumbent for EI: best *real* observation (estimates guide, they don't set the bar).
+    fn incumbent(&self) -> f64 {
+        let best = self
+            .observations
+            .iter()
+            .filter(|o| !o.estimated)
+            .map(|o| o.value)
+            .fold(f64::NEG_INFINITY, f64::max);
+        if best.is_finite() {
+            best
+        } else {
+            self.best().map(|o| o.value).unwrap_or(0.0)
         }
-        let posteriors = gp.predict_many(&coords[..chunk.len()])?;
-        let mut best: Option<(usize, f64)> = None;
-        for (k, posterior) in posteriors.iter().enumerate() {
-            let score = self.settings.acquisition.score(posterior, incumbent);
-            match &best {
-                Some((_, s)) if *s >= score => {}
-                _ => best = Some((offset + k, score)),
-            }
-        }
-        Ok(best.expect("chunks are non-empty"))
     }
 
-    /// Maximizes the acquisition function over the open candidates with the batched
-    /// prediction path, fanning contiguous chunks out over [`BoSettings::scan_threads`]
-    /// workers.
-    ///
-    /// Determinism: each chunk is scored sequentially, chunk results are reduced in chunk
-    /// order, and both levels keep the first strictly-better score — so the selected
-    /// candidate is exactly the one the serial from-scratch scan picks (first maximum in
-    /// enumeration order), for any worker count.
-    fn scan_open(
+    /// `true` while the next ask is a random draw (the initialization phase).
+    fn in_initial_phase(&self) -> bool {
+        self.num_evaluations() < self.settings.initial_samples || self.observations.is_empty()
+    }
+
+    /// The scan's kernel table: the GP's values for every squared distance two lattice
+    /// points can have, `Σ mᵢ²`, when that stays within [`MAX_KERNEL_TABLE`].
+    fn kernel_table(&self, gp: &Surrogate) -> Option<KernelTable> {
+        let max_sq_dist = self
+            .lattice()
+            .bounds()
+            .iter()
+            .map(|&b| u64::from(b) * u64::from(b))
+            .sum::<u64>();
+        (max_sq_dist < MAX_KERNEL_TABLE).then(|| gp.kernel_table(max_sq_dist as usize))?
+    }
+
+    /// Scores the open set and hands each chunk's scores to `per_chunk` with the chunk's
+    /// offset into the open set, returning the chunk results in chunk order. Chunks of
+    /// [`SCAN_CHUNK`] points fan out over [`BoSettings::scan_threads`] workers through an
+    /// atomic work index (as in the workspace parallel engine, ribbon-cloudsim::parallel);
+    /// each chunk is scored sequentially into its own slot, so the results do not depend
+    /// on the worker count.
+    fn scan<T: Send>(
         &self,
-        gp: &GaussianProcess<Rounded<Matern52>>,
+        gp: &Surrogate,
         incumbent: f64,
-    ) -> Result<Suggestion, BoError> {
-        // Chunked so the coordinate buffers stay small and warm regardless of lattice size.
-        const CHUNK: usize = 1024;
-        let dims = self.lattice.dims();
-        let num_chunks = self.open.len().div_ceil(CHUNK);
+        per_chunk: impl Fn(usize, &[f64]) -> T + Sync,
+    ) -> Result<Vec<T>, BoError> {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+
+        let ranks = self.open.ranks();
+        let num_chunks = ranks.len().div_ceil(SCAN_CHUNK);
         let workers = self
             .settings
             .scan_threads
@@ -359,61 +353,94 @@ impl BoOptimizer {
                     .map(|n| n.get())
                     .unwrap_or(1)
             })
-            .clamp(1, num_chunks);
-
-        let mut best: Option<(usize, f64)> = None;
-        if workers <= 1 {
-            let mut coords: Vec<Vec<f64>> = vec![vec![0.0; dims]; CHUNK.min(self.open.len())];
-            for (chunk_idx, chunk) in self.open.chunks(CHUNK).enumerate() {
-                let local =
-                    self.scan_chunk(gp, chunk, chunk_idx * CHUNK, incumbent, &mut coords)?;
-                match &best {
-                    Some((_, s)) if *s >= local.1 => {}
-                    _ => best = Some(local),
+            .clamp(1, num_chunks.max(1));
+        let table = self.kernel_table(gp);
+        let dims = self.lattice().dims();
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<Result<T, BoError>>>> =
+            (0..num_chunks).map(|_| Mutex::new(None)).collect();
+        let work = || {
+            let mut decoder = RankDecoder::new(self.lattice());
+            let mut coords = vec![0.0; SCAN_CHUNK * dims];
+            let mut posteriors = vec![
+                Posterior {
+                    mean: 0.0,
+                    variance: 0.0,
+                };
+                SCAN_CHUNK
+            ];
+            let mut scores = vec![0.0; SCAN_CHUNK];
+            loop {
+                let ci = next.fetch_add(1, Ordering::Relaxed);
+                if ci >= num_chunks {
+                    break;
                 }
+                let start = ci * SCAN_CHUNK;
+                let chunk = &ranks[start..(start + SCAN_CHUNK).min(ranks.len())];
+                let len = chunk.len();
+                for (&rank, point) in chunk.iter().zip(coords.chunks_mut(dims)) {
+                    for (c, &digit) in point.iter_mut().zip(decoder.seek(rank)) {
+                        *c = f64::from(digit);
+                    }
+                }
+                let r = gp
+                    .predict_many(
+                        &coords[..len * dims],
+                        table.as_ref(),
+                        &mut posteriors[..len],
+                    )
+                    .map_err(BoError::from)
+                    .map(|()| {
+                        for (s, p) in scores.iter_mut().zip(&posteriors[..len]) {
+                            *s = self.settings.acquisition.score(p, incumbent);
+                        }
+                        per_chunk(start, &scores[..len])
+                    });
+                *slots[ci].lock().expect("scan slot poisoned") = Some(r);
             }
+        };
+        if workers == 1 {
+            work();
         } else {
-            // Mirrors the workspace parallel engine (ribbon-cloudsim::parallel): an atomic
-            // work index over chunks, results stored per chunk, reduced in chunk order.
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-            type ChunkSlot = Mutex<Option<Result<(usize, f64), BoError>>>;
-            let next = AtomicUsize::new(0);
-            let slots: Vec<ChunkSlot> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut coords: Vec<Vec<f64>> = vec![vec![0.0; dims]; CHUNK];
-                        loop {
-                            let ci = next.fetch_add(1, Ordering::Relaxed);
-                            if ci >= num_chunks {
-                                break;
-                            }
-                            let start = ci * CHUNK;
-                            let chunk = &self.open[start..(start + CHUNK).min(self.open.len())];
-                            let r = self.scan_chunk(gp, chunk, start, incumbent, &mut coords);
-                            *slots[ci].lock().expect("scan slot poisoned") = Some(r);
-                        }
-                    });
+                    scope.spawn(work);
                 }
             });
-            for slot in slots {
-                let local = slot
-                    .into_inner()
-                    .expect("scan slot poisoned")
-                    .expect("every chunk was scanned")?;
-                match &best {
-                    Some((_, s)) if *s >= local.1 => {}
-                    _ => best = Some(local),
-                }
-            }
         }
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("scan slot poisoned")
+                    .expect("every chunk was scanned")
+            })
+            .collect()
+    }
 
-        let (idx, score) = best.ok_or(BoError::SpaceExhausted)?;
+    /// Maximizes the acquisition function over the open set: the first candidate in
+    /// enumeration order attaining the maximum score, exactly as the serial from-scratch
+    /// scan picks it — each chunk keeps its first strictly-better score and the chunk
+    /// winners are reduced in chunk order by the same rule.
+    fn scan_open(&self, gp: &Surrogate, incumbent: f64) -> Result<Suggestion, BoError> {
+        let winners = self.scan(gp, incumbent, |offset, scores| {
+            first_max(scores.iter().copied().enumerate()).map(|(k, s)| (offset + k, s))
+        })?;
+        let (idx, score) =
+            first_max(winners.into_iter().flatten()).ok_or(BoError::SpaceExhausted)?;
         Ok(Suggestion {
-            config: self.open[idx].clone(),
+            config: self.lattice().config_at(self.open.ranks()[idx]),
             source: SuggestionSource::Acquisition { score },
         })
+    }
+
+    /// Acquisition scores for **every** open candidate, in enumeration order. One full
+    /// scan prices a whole batch — the per-candidate scan cost is what made
+    /// one-at-a-time suggestions the planner's bottleneck on large lattices.
+    fn scan_scores(&self, gp: &Surrogate, incumbent: f64) -> Result<Vec<f64>, BoError> {
+        Ok(self
+            .scan(gp, incumbent, |_, scores| scores.to_vec())?
+            .concat())
     }
 
     /// One full iteration of the historical (pre-incremental) hot path, kept as the
@@ -424,10 +451,10 @@ impl BoOptimizer {
     /// did).
     fn suggest_from_scratch(&self, incumbent: f64) -> Result<Option<Suggestion>, BoError> {
         let open: Vec<Config> = self
-            .lattice
+            .lattice()
             .enumerate()
             .into_iter()
-            .filter(|c| !self.explored.contains(c) && !self.prune.is_pruned(c))
+            .filter(|c| !self.open.is_explored(c) && !self.open.prune_set().is_pruned(c))
             .collect();
         let x: Vec<Vec<f64>> = self
             .observations
@@ -456,6 +483,12 @@ impl BoOptimizer {
         }))
     }
 
+    /// A uniformly random open configuration: the first entry of one shuffle of the open
+    /// set (it stays open).
+    fn random_open(&self, rng: &mut dyn RngCore) -> Config {
+        self.open.shuffled_prefix(rng, 1).swap_remove(0)
+    }
+
     /// Suggests the next configuration to evaluate.
     ///
     /// During the initialization phase (fewer than `initial_samples` real evaluations) the
@@ -467,29 +500,16 @@ impl BoOptimizer {
         if self.open.is_empty() {
             return Err(BoError::SpaceExhausted);
         }
+        let mut rng: &mut dyn RngCore = rng;
 
-        if self.num_evaluations() < self.settings.initial_samples || self.observations.is_empty() {
-            let mut open = self.open.clone();
-            open.shuffle(rng);
+        if self.in_initial_phase() {
             return Ok(Suggestion {
-                config: open.swap_remove(0),
+                config: self.random_open(&mut rng),
                 source: SuggestionSource::Initial,
             });
         }
 
-        // Incumbent for EI: best *real* observation (estimates guide, they don't set the bar).
-        let best = self
-            .observations
-            .iter()
-            .filter(|o| !o.estimated)
-            .map(|o| o.value)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let incumbent = if best.is_finite() {
-            best
-        } else {
-            self.best().map(|o| o.value).unwrap_or(0.0)
-        };
-
+        let incumbent = self.incumbent();
         if self.settings.reuse_surrogate {
             if self.refresh_surrogate() {
                 if let Some(fit) = self.surrogate.as_ref().and_then(|s| s.best()) {
@@ -501,10 +521,8 @@ impl BoOptimizer {
         }
 
         // Surrogate unavailable: fall back to a random open configuration.
-        let mut open = self.open.clone();
-        open.shuffle(rng);
         Ok(Suggestion {
-            config: open.swap_remove(0),
+            config: self.random_open(&mut rng),
             source: SuggestionSource::RandomFallback,
         })
     }
@@ -513,10 +531,7 @@ impl BoOptimizer {
     /// (used when the workload changes so drastically that history is discarded).
     pub fn reset(&mut self) {
         self.observations.clear();
-        self.explored.clear();
-        self.prune.clear();
-        self.open = self.lattice.enumerate();
-        self.pending.clear();
+        self.open.reset();
         self.surrogate = None;
         self.fitted_upto = 0;
     }
@@ -528,122 +543,7 @@ impl BoOptimizer {
 
     /// Candidates asked but not yet told or forgotten.
     pub fn pending(&self) -> &[Config] {
-        &self.pending
-    }
-
-    /// Moves an open candidate into the in-flight set.
-    fn take_pending(&mut self, config: &Config) {
-        if let Ok(pos) = self.open.binary_search(config) {
-            self.open.remove(pos);
-        }
-        self.pending.push(config.clone());
-    }
-
-    /// A shuffled batch of `q` open candidates, moved in flight. One shuffle of the whole
-    /// open set — for `q = 1` this consumes the RNG exactly like `suggest`'s initial and
-    /// random-fallback branches.
-    fn random_batch(&mut self, rng: &mut dyn RngCore, q: usize) -> Vec<Config> {
-        let mut open = self.open.clone();
-        let mut rng_ref: &mut dyn RngCore = rng;
-        open.shuffle(&mut rng_ref);
-        open.truncate(q);
-        for c in &open {
-            self.take_pending(c);
-        }
-        open
-    }
-
-    /// Scores one chunk of the open set into `out` (same per-point math as `scan_chunk`).
-    fn scan_chunk_scores(
-        &self,
-        gp: &GaussianProcess<Rounded<Matern52>>,
-        chunk: &[Config],
-        incumbent: f64,
-        coords: &mut [Vec<f64>],
-        out: &mut Vec<f64>,
-    ) -> Result<(), BoError> {
-        for (slot, cfg) in coords.iter_mut().zip(chunk) {
-            for (s, &c) in slot.iter_mut().zip(cfg) {
-                *s = c as f64;
-            }
-        }
-        let posteriors = gp.predict_many(&coords[..chunk.len()])?;
-        out.clear();
-        out.extend(
-            posteriors
-                .iter()
-                .map(|p| self.settings.acquisition.score(p, incumbent)),
-        );
-        Ok(())
-    }
-
-    /// Acquisition scores for **every** open candidate, in enumeration order, fanned over
-    /// the same chunked worker pool as `scan_open`. One full scan prices a whole batch —
-    /// the per-candidate scan cost is what made one-at-a-time suggestions the planner's
-    /// bottleneck on large lattices.
-    fn scan_scores(
-        &self,
-        gp: &GaussianProcess<Rounded<Matern52>>,
-        incumbent: f64,
-    ) -> Result<Vec<f64>, BoError> {
-        const CHUNK: usize = 1024;
-        let dims = self.lattice.dims();
-        let num_chunks = self.open.len().div_ceil(CHUNK);
-        let workers = self
-            .settings
-            .scan_threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .clamp(1, num_chunks);
-
-        if workers <= 1 {
-            let mut coords: Vec<Vec<f64>> = vec![vec![0.0; dims]; CHUNK.min(self.open.len())];
-            let mut scores = Vec::with_capacity(self.open.len());
-            let mut buf = Vec::with_capacity(CHUNK);
-            for chunk in self.open.chunks(CHUNK) {
-                self.scan_chunk_scores(gp, chunk, incumbent, &mut coords, &mut buf)?;
-                scores.extend_from_slice(&buf);
-            }
-            return Ok(scores);
-        }
-
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        type ChunkSlot = Mutex<Option<Result<Vec<f64>, BoError>>>;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<ChunkSlot> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut coords: Vec<Vec<f64>> = vec![vec![0.0; dims]; CHUNK];
-                    loop {
-                        let ci = next.fetch_add(1, Ordering::Relaxed);
-                        if ci >= num_chunks {
-                            break;
-                        }
-                        let start = ci * CHUNK;
-                        let chunk = &self.open[start..(start + CHUNK).min(self.open.len())];
-                        let mut buf = Vec::with_capacity(chunk.len());
-                        let r = self
-                            .scan_chunk_scores(gp, chunk, incumbent, &mut coords, &mut buf)
-                            .map(|()| buf);
-                        *slots[ci].lock().expect("scan slot poisoned") = Some(r);
-                    }
-                });
-            }
-        });
-        let mut scores = Vec::with_capacity(self.open.len());
-        for slot in slots {
-            let chunk_scores = slot
-                .into_inner()
-                .expect("scan slot poisoned")
-                .expect("every chunk was scanned")?;
-            scores.extend_from_slice(&chunk_scores);
-        }
-        Ok(scores)
+        self.open.pending()
     }
 
     /// Greedy local-penalty batch selection over pre-computed acquisition scores: each
@@ -658,6 +558,7 @@ impl BoOptimizer {
         let mut adj: Vec<f64> = scores.iter().map(|s| s - floor).collect();
         let mut taken = vec![false; n];
         let mut picks = Vec::with_capacity(q);
+        let ranks = self.open.ranks();
         // Beyond d² = 16 (four lattice steps) the penalty factor is within 3.4e-4 of 1.
         const CUTOFF_D2: f64 = 16.0;
         const RADIUS2: f64 = 1.0;
@@ -675,13 +576,14 @@ impl BoOptimizer {
             let Some((idx, _)) = best else { break };
             taken[idx] = true;
             picks.push(idx);
-            let picked = &self.open[idx];
-            for (i, cfg) in self.open.iter().enumerate() {
+            let picked = self.lattice().config_at(ranks[idx]);
+            let mut decoder = RankDecoder::new(self.lattice());
+            for (i, &rank) in ranks.iter().enumerate() {
                 if taken[i] {
                     continue;
                 }
                 let mut d2 = 0.0;
-                for (&a, &b) in cfg.iter().zip(picked) {
+                for (&a, &b) in decoder.seek(rank).iter().zip(&picked) {
                     let d = a as f64 - b as f64;
                     d2 += d * d;
                     if d2 > CUTOFF_D2 {
@@ -711,26 +613,15 @@ impl BoOptimizer {
         if q == 1 {
             let mut rng_ref: &mut dyn RngCore = rng;
             let s = self.suggest(&mut rng_ref)?;
-            self.take_pending(&s.config);
+            self.open.take(&s.config);
             return Ok(vec![s.config]);
         }
 
-        if self.num_evaluations() < self.settings.initial_samples || self.observations.is_empty() {
-            return Ok(self.random_batch(rng, q));
+        if self.in_initial_phase() {
+            return Ok(self.open.random_batch(rng, q));
         }
 
-        let best = self
-            .observations
-            .iter()
-            .filter(|o| !o.estimated)
-            .map(|o| o.value)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let incumbent = if best.is_finite() {
-            best
-        } else {
-            self.best().map(|o| o.value).unwrap_or(0.0)
-        };
-
+        let incumbent = self.incumbent();
         let scores = if self.settings.reuse_surrogate {
             if self.refresh_surrogate() {
                 match self.surrogate.as_ref().and_then(|s| s.best()) {
@@ -746,17 +637,10 @@ impl BoOptimizer {
 
         let Some(scores) = scores else {
             // Surrogate unavailable: fall back to one shuffled random batch.
-            return Ok(self.random_batch(rng, q));
+            return Ok(self.open.random_batch(rng, q));
         };
         let picks = self.penalized_picks(&scores, q);
-        let configs: Vec<Config> = picks.iter().map(|&i| self.open[i].clone()).collect();
-        let mut sorted = picks;
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        for idx in sorted {
-            let cfg = self.open.remove(idx);
-            self.pending.push(cfg);
-        }
-        Ok(configs)
+        Ok(self.open.take_positions(&picks))
     }
 
     /// From-scratch scores for the batched ask when `reuse_surrogate` is off (the
@@ -773,8 +657,8 @@ impl BoOptimizer {
             Err(_) => return Ok(None),
         };
         let mut scores = Vec::with_capacity(self.open.len());
-        for cfg in &self.open {
-            let coords = ConfigLattice::to_coords(cfg);
+        for &rank in self.open.ranks() {
+            let coords = ConfigLattice::to_coords(&self.lattice().config_at(rank));
             let posterior = fitted.gp.predict(&coords)?;
             scores.push(self.settings.acquisition.score(&posterior, incumbent));
         }
@@ -795,15 +679,9 @@ impl BoOptimizer {
     /// [`BoOptimizer::observe_estimate`], which does feed the surrogate.) Returns
     /// `false` for estimates: they must not count against an evaluation budget.
     pub fn tell(&mut self, outcome: Outcome) -> Result<bool, BoError> {
-        if let Some(pos) = self.pending.iter().position(|c| *c == outcome.config) {
-            self.pending.remove(pos);
-        }
+        self.open.settle(&outcome.config);
         if outcome.estimated {
-            if self.explored.insert(outcome.config.clone()) {
-                if let Ok(pos) = self.open.binary_search(&outcome.config) {
-                    self.open.remove(pos);
-                }
-            }
+            self.open.explore(&outcome.config);
             return Ok(false);
         }
         let _ = self.record(outcome.config.clone(), outcome.value, outcome.estimated);
@@ -820,16 +698,21 @@ impl BoOptimizer {
     /// [`Optimizer::forget`]). Re-inserted in enumeration order unless an observation or
     /// prune box claimed it while it was in flight.
     pub fn forget(&mut self, config: &[u32]) {
-        let Some(pos) = self.pending.iter().position(|c| c.as_slice() == config) else {
-            return;
-        };
-        let cfg = self.pending.remove(pos);
-        if !self.explored.contains(&cfg) && !self.prune.is_pruned(&cfg) {
-            if let Err(ins) = self.open.binary_search(&cfg) {
-                self.open.insert(ins, cfg);
-            }
+        self.open.forget(config);
+    }
+}
+
+/// The first maximum of `(index, score)` pairs by the scan's tie rule: keep the first
+/// strictly-better score.
+fn first_max(pairs: impl Iterator<Item = (usize, f64)>) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, score) in pairs {
+        match &best {
+            Some((_, s)) if *s >= score => {}
+            _ => best = Some((i, score)),
         }
     }
+    best
 }
 
 impl Optimizer for BoOptimizer {
@@ -854,6 +737,7 @@ impl Optimizer for BoOptimizer {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     /// A smooth synthetic objective with a unique maximum at (3, 4) on a 6×6 lattice.
@@ -861,6 +745,14 @@ mod tests {
         let dx = cfg[0] as f64 - 3.0;
         let dy = cfg[1] as f64 - 4.0;
         1.0 - 0.05 * (dx * dx + dy * dy)
+    }
+
+    /// The open candidates as configurations, in enumeration order.
+    fn open_configs(bo: &BoOptimizer) -> Vec<Config> {
+        bo.open_candidates()
+            .iter()
+            .map(|&r| bo.lattice().config_at(r))
+            .collect()
     }
 
     fn small_settings() -> BoSettings {
@@ -1034,7 +926,7 @@ mod tests {
             .into_iter()
             .filter(|c| !bo.is_explored(c) && !bo.prune_set().is_pruned(c))
             .collect();
-        assert_eq!(bo.open_candidates(), expected.as_slice());
+        assert_eq!(open_configs(&bo), expected);
     }
 
     #[test]
@@ -1190,9 +1082,9 @@ mod tests {
         for c in &batch {
             bo.forget(c);
         }
-        for c in bo.open_candidates() {
+        for c in open_configs(&bo) {
             assert!(
-                !bo.prune_set().is_pruned(c),
+                !bo.prune_set().is_pruned(&c),
                 "pruned config back in open: {c:?}"
             );
         }
@@ -1202,7 +1094,7 @@ mod tests {
             .into_iter()
             .filter(|c| !bo.is_explored(c) && !bo.prune_set().is_pruned(c))
             .collect();
-        assert_eq!(bo.open_candidates(), expected.as_slice());
+        assert_eq!(open_configs(&bo), expected);
     }
 
     #[test]
@@ -1212,7 +1104,7 @@ mod tests {
         let batch = bo.ask_batch(&mut rng, 4).unwrap();
         // Reproduce by hand: one shuffle of the full open set, first four entries.
         let bo2 = BoOptimizer::new(ConfigLattice::new(vec![4, 4]), small_settings());
-        let mut open = bo2.open_candidates().to_vec();
+        let mut open = open_configs(&bo2);
         let mut rng2 = StdRng::seed_from_u64(21);
         open.shuffle(&mut rng2);
         assert_eq!(batch, open[..4].to_vec());

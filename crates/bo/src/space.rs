@@ -1,9 +1,14 @@
-//! The integer configuration lattice and Ribbon's active prune set.
+//! The integer configuration lattice, Ribbon's active prune set, and the open set both
+//! lattice optimizers search.
 //!
 //! A *configuration* is a vector of instance counts `[x_1, ..., x_n]`, one per instance type,
 //! bounded by per-type maxima `m = [m_1, ..., m_n]`. The lattice is the full cartesian product
 //! `{0..=m_1} × ... × {0..=m_n}` (the all-zero configuration is excluded — an empty pool can
 //! never serve queries).
+//!
+//! Every lattice point has a **rank**: its index in lexicographic enumeration order
+//! ([`ConfigLattice::enumerate`]), a `u32`. Ranks let the [`OpenSet`] hold the candidates
+//! as 4 bytes per point instead of one heap-allocated configuration each.
 //!
 //! The [`PruneSet`] implements the paper's *active pruning*: when a configuration is observed
 //! to violate QoS by more than a threshold, every configuration that is component-wise ≤ it is
@@ -12,8 +17,15 @@
 //! known, any configuration component-wise ≥ a *satisfying* configuration that is also more
 //! expensive than the incumbent can be pruned by the caller via [`PruneSet::prune_above`].
 
+use rand::seq::SliceRandom;
+use rand::RngCore;
+use std::collections::BTreeSet;
+
 /// An integer lattice point: the number of instances of each type.
 pub type Config = Vec<u32>;
+
+/// The most points a lattice may hold: ranks are `u32`, so `0..=u32::MAX`.
+pub const MAX_LATTICE_POINTS: u64 = 1 << 32;
 
 /// Returns `true` if `a` is component-wise less than or equal to `b`.
 ///
@@ -29,16 +41,35 @@ pub fn dominated_by(a: &[u32], b: &[u32]) -> bool {
 pub struct ConfigLattice {
     /// Upper bound (inclusive) for each dimension: the paper's m_i.
     bounds: Vec<u32>,
+    /// Number of points, the all-zero configuration excluded.
+    len: usize,
 }
 
 impl ConfigLattice {
     /// Creates a lattice with inclusive per-dimension upper bounds.
     ///
     /// # Panics
-    /// Panics if `bounds` is empty.
+    /// Panics if `bounds` is empty or spans more than [`MAX_LATTICE_POINTS`] points;
+    /// callers that take bounds from input check them with
+    /// [`ConfigLattice::count_points`] first.
     pub fn new(bounds: Vec<u32>) -> Self {
         assert!(!bounds.is_empty(), "lattice needs at least one dimension");
-        ConfigLattice { bounds }
+        let len = Self::count_points(&bounds)
+            .filter(|&n| n <= MAX_LATTICE_POINTS)
+            .and_then(|n| usize::try_from(n).ok())
+            .unwrap_or_else(|| {
+                panic!("bounds {bounds:?} span more than {MAX_LATTICE_POINTS} lattice points")
+            });
+        ConfigLattice { bounds, len }
+    }
+
+    /// Number of points `bounds` span, the all-zero configuration excluded, or `None`
+    /// when the count overflows `u64`.
+    pub fn count_points(bounds: &[u32]) -> Option<u64> {
+        bounds
+            .iter()
+            .try_fold(1u64, |acc, &b| acc.checked_mul(u64::from(b) + 1))
+            .map(|total| total - 1)
     }
 
     /// Number of dimensions (instance types).
@@ -53,13 +84,12 @@ impl ConfigLattice {
 
     /// Total number of lattice points excluding the all-zero configuration.
     pub fn len(&self) -> usize {
-        let total: usize = self.bounds.iter().map(|&b| b as usize + 1).product();
-        total.saturating_sub(1)
+        self.len
     }
 
     /// `true` if the lattice contains no valid (non-empty) configuration.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Returns `true` if `config` lies inside the lattice bounds and is not all-zero.
@@ -67,6 +97,32 @@ impl ConfigLattice {
         config.len() == self.bounds.len()
             && config.iter().zip(&self.bounds).all(|(c, b)| c <= b)
             && config.iter().any(|&c| c > 0)
+    }
+
+    /// The rank of `config` (its index in [`ConfigLattice::enumerate`] order), or `None`
+    /// when the lattice does not contain it.
+    pub fn rank(&self, config: &[u32]) -> Option<u32> {
+        if !self.contains(config) {
+            return None;
+        }
+        let index = config.iter().zip(&self.bounds).fold(0u64, |acc, (&c, &b)| {
+            acc * (u64::from(b) + 1) + u64::from(c)
+        });
+        // The all-zero configuration holds mixed-radix index 0 and is not enumerated.
+        u32::try_from(index - 1).ok()
+    }
+
+    /// The configuration of rank `rank`.
+    ///
+    /// # Panics
+    /// Panics if `rank` is not below [`ConfigLattice::len`].
+    pub fn config_at(&self, rank: u32) -> Config {
+        assert!(
+            (rank as usize) < self.len,
+            "rank {rank} is outside the lattice"
+        );
+        let mut decoder = RankDecoder::new(self);
+        decoder.seek(rank).to_vec()
     }
 
     /// Enumerates every valid configuration (excluding all-zero) in lexicographic order.
@@ -135,6 +191,240 @@ impl ConfigLattice {
     }
 }
 
+/// Decodes ranks to configurations. Over an ascending sequence of ranks it carries the
+/// digits forward from the previous rank — one add and compare per point for consecutive
+/// ranks — and falls back to division only when a rank goes backwards.
+pub(crate) struct RankDecoder<'a> {
+    bounds: &'a [u32],
+    /// Digits of the current point, most significant first.
+    digits: Vec<u32>,
+    /// Mixed-radix index of `digits` (rank + 1).
+    index: u64,
+}
+
+impl<'a> RankDecoder<'a> {
+    pub(crate) fn new(lattice: &'a ConfigLattice) -> Self {
+        RankDecoder {
+            bounds: &lattice.bounds,
+            digits: vec![0; lattice.dims()],
+            index: 0,
+        }
+    }
+
+    /// The configuration of `rank` (which the caller keeps inside the lattice).
+    pub(crate) fn seek(&mut self, rank: u32) -> &[u32] {
+        let target = u64::from(rank) + 1;
+        let mut carry = if target >= self.index {
+            target - self.index
+        } else {
+            self.digits.fill(0);
+            target
+        };
+        self.index = target;
+        for (digit, &bound) in self.digits.iter_mut().zip(self.bounds).rev() {
+            if carry == 0 {
+                break;
+            }
+            let base = u64::from(bound) + 1;
+            let v = u64::from(*digit) + carry;
+            if v < base {
+                *digit = v as u32;
+                carry = 0;
+            } else {
+                *digit = (v % base) as u32;
+                carry = v / base;
+            }
+        }
+        &self.digits
+    }
+}
+
+/// The candidates of a lattice search: every lattice point that is neither explored,
+/// pruned nor in flight, as ascending ranks, plus the bookkeeping that moves points
+/// between those states. [`crate::BoOptimizer`] and [`crate::TpeOptimizer`] share it.
+///
+/// Invariant: `ranks()` equals the ranks of `lattice.enumerate()` filtered by
+/// `is_explored`, `prune_set().is_pruned` and `pending()`, in ascending order.
+#[derive(Debug, Clone)]
+pub struct OpenSet {
+    lattice: ConfigLattice,
+    ranks: Vec<u32>,
+    explored: BTreeSet<Config>,
+    prune: PruneSet,
+    /// Candidates handed out by an ask and not yet told or forgotten.
+    pending: Vec<Config>,
+}
+
+impl OpenSet {
+    /// The whole lattice open: nothing explored, pruned or in flight.
+    pub fn new(lattice: ConfigLattice) -> Self {
+        OpenSet {
+            ranks: Self::all_ranks(&lattice),
+            lattice,
+            explored: BTreeSet::new(),
+            prune: PruneSet::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    fn all_ranks(lattice: &ConfigLattice) -> Vec<u32> {
+        // `ConfigLattice::new` keeps the count within the u32 rank range.
+        (0..lattice.len()).map(|r| r as u32).collect()
+    }
+
+    /// The search lattice.
+    pub fn lattice(&self) -> &ConfigLattice {
+        &self.lattice
+    }
+
+    /// Open ranks, ascending.
+    pub fn ranks(&self) -> &[u32] {
+        &self.ranks
+    }
+
+    /// Number of open points.
+    pub fn len(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// `true` when no point is open.
+    pub fn is_empty(&self) -> bool {
+        self.ranks.is_empty()
+    }
+
+    /// `true` if `config` is open.
+    pub fn contains(&self, config: &[u32]) -> bool {
+        self.lattice
+            .rank(config)
+            .is_some_and(|r| self.ranks.binary_search(&r).is_ok())
+    }
+
+    /// `true` if `config` has been explored (observed, injected or estimated).
+    pub fn is_explored(&self, config: &[u32]) -> bool {
+        self.explored.contains(config)
+    }
+
+    /// The prune boxes applied so far.
+    pub fn prune_set(&self) -> &PruneSet {
+        &self.prune
+    }
+
+    /// Candidates in flight.
+    pub fn pending(&self) -> &[Config] {
+        &self.pending
+    }
+
+    fn remove(&mut self, config: &[u32]) {
+        if let Some(r) = self.lattice.rank(config) {
+            if let Ok(pos) = self.ranks.binary_search(&r) {
+                self.ranks.remove(pos);
+            }
+        }
+    }
+
+    /// Marks `config` explored and closes it; it may already be closed by a prune box.
+    pub fn explore(&mut self, config: &[u32]) {
+        if self.explored.insert(config.to_vec()) {
+            self.remove(config);
+        }
+    }
+
+    /// Closes every point with `keep` false, decoding the ranks in one ascending pass.
+    fn retain(&mut self, mut keep: impl FnMut(&[u32]) -> bool) {
+        let mut decoder = RankDecoder::new(&self.lattice);
+        self.ranks.retain(|&r| keep(decoder.seek(r)));
+    }
+
+    /// Prunes every point component-wise ≤ `violator` (see [`PruneSet::prune_below`]).
+    pub fn prune_below(&mut self, violator: Config) {
+        self.retain(|c| !dominated_by(c, &violator));
+        self.prune.prune_below(violator);
+    }
+
+    /// Prunes every point component-wise ≥ `satisfier`, the satisfier itself excepted
+    /// (see [`PruneSet::prune_above`]).
+    pub fn prune_above(&mut self, satisfier: Config) {
+        self.retain(|c| !dominated_by(&satisfier, c) || c == satisfier.as_slice());
+        self.prune.prune_above(satisfier);
+    }
+
+    /// Moves `config` from the open set into flight.
+    pub fn take(&mut self, config: &[u32]) {
+        self.remove(config);
+        self.pending.push(config.to_vec());
+    }
+
+    /// Moves the open points at positions `positions` (indices into [`OpenSet::ranks`],
+    /// distinct) into flight and returns their configurations in `positions` order.
+    pub fn take_positions(&mut self, positions: &[usize]) -> Vec<Config> {
+        let configs = positions
+            .iter()
+            .map(|&i| self.lattice.config_at(self.ranks[i]))
+            .collect();
+        let mut order: Vec<usize> = positions.to_vec();
+        order.sort_unstable_by(|a, b| b.cmp(a));
+        for i in order {
+            let rank = self.ranks.remove(i);
+            self.pending.push(self.lattice.config_at(rank));
+        }
+        configs
+    }
+
+    /// The first `q` entries of one shuffle of a copy of the open ranks, as
+    /// configurations; the open set is unchanged. Fisher–Yates draws depend only on the
+    /// length, so this consumes the RNG exactly as shuffling the configurations would.
+    pub fn shuffled_prefix(&self, rng: &mut dyn RngCore, q: usize) -> Vec<Config> {
+        let mut ranks = self.ranks.clone();
+        let mut rng_ref: &mut dyn RngCore = rng;
+        ranks.shuffle(&mut rng_ref);
+        ranks[..q.min(ranks.len())]
+            .iter()
+            .map(|&r| self.lattice.config_at(r))
+            .collect()
+    }
+
+    /// [`OpenSet::shuffled_prefix`], moved into flight.
+    pub fn random_batch(&mut self, rng: &mut dyn RngCore, q: usize) -> Vec<Config> {
+        let batch = self.shuffled_prefix(rng, q);
+        for c in &batch {
+            self.take(c);
+        }
+        batch
+    }
+
+    /// Drops `config` from flight (a tell settles it).
+    pub fn settle(&mut self, config: &[u32]) {
+        if let Some(pos) = self.pending.iter().position(|c| c.as_slice() == config) {
+            self.pending.remove(pos);
+        }
+    }
+
+    /// Returns an in-flight candidate to the open set unless an observation or a prune
+    /// box claimed it while it was in flight. Unknown configurations are ignored.
+    pub fn forget(&mut self, config: &[u32]) {
+        let Some(pos) = self.pending.iter().position(|c| c.as_slice() == config) else {
+            return;
+        };
+        let cfg = self.pending.remove(pos);
+        if self.explored.contains(&cfg) || self.prune.is_pruned(&cfg) {
+            return;
+        }
+        if let Some(r) = self.lattice.rank(&cfg) {
+            if let Err(ins) = self.ranks.binary_search(&r) {
+                self.ranks.insert(ins, r);
+            }
+        }
+    }
+
+    /// Reopens the whole lattice and clears the exploration, pruning and flight state.
+    pub fn reset(&mut self) {
+        self.ranks = Self::all_ranks(&self.lattice);
+        self.explored.clear();
+        self.prune.clear();
+        self.pending.clear();
+    }
+}
+
 /// Ribbon's active prune set P.
 ///
 /// Stores (a) *violator boxes*: configurations observed to violate QoS by more than the
@@ -197,15 +487,6 @@ impl PruneSet {
     /// Number of stored pruning boxes (diagnostic).
     pub fn num_boxes(&self) -> usize {
         self.below_boxes.len() + self.above_boxes.len()
-    }
-
-    /// Counts how many configurations of a lattice are currently pruned.
-    pub fn count_pruned(&self, lattice: &ConfigLattice) -> usize {
-        lattice
-            .enumerate()
-            .iter()
-            .filter(|c| self.is_pruned(c))
-            .count()
     }
 
     /// Clears all pruning information (used when the load changes and history is rebuilt).
@@ -357,15 +638,6 @@ mod tests {
             "now dominated by the tighter satisfier box"
         );
         assert!(!p.is_pruned(&[2, 2]));
-    }
-
-    #[test]
-    fn count_pruned_matches_manual_count() {
-        let l = ConfigLattice::new(vec![2, 2]);
-        let mut p = PruneSet::new();
-        p.prune_below(vec![1, 1]);
-        // Pruned: (0,1),(1,0),(1,1) — (0,0) is not in the lattice.
-        assert_eq!(p.count_pruned(&l), 3);
     }
 
     #[test]

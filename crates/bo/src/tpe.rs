@@ -21,10 +21,8 @@
 
 use crate::ask_tell::{Optimizer, Outcome};
 use crate::optimizer::{BoError, Observation};
-use crate::space::{dominated_by, Config, ConfigLattice, PruneSet};
-use rand::seq::SliceRandom;
+use crate::space::{Config, ConfigLattice, OpenSet, PruneSet};
 use rand::{Rng, RngCore};
-use std::collections::BTreeSet;
 
 /// Tunable settings of the TPE engine.
 #[derive(Debug, Clone)]
@@ -58,35 +56,26 @@ type LogDensities = Vec<Vec<f64>>;
 
 /// TPE optimizer over an integer configuration lattice.
 pub struct TpeOptimizer {
-    lattice: ConfigLattice,
     settings: TpeSettings,
     observations: Vec<Observation>,
-    explored: BTreeSet<Config>,
-    prune: PruneSet,
-    /// Un-explored, un-pruned lattice points in enumeration order (same invariant as
-    /// `BoOptimizer::open`).
-    open: Vec<Config>,
-    pending: Vec<Config>,
+    /// Un-explored, un-pruned, not-in-flight lattice points (shared with
+    /// [`crate::BoOptimizer`]).
+    open: OpenSet,
 }
 
 impl TpeOptimizer {
     /// Creates a TPE optimizer over `lattice`.
     pub fn new(lattice: ConfigLattice, settings: TpeSettings) -> Self {
-        let open = lattice.enumerate();
         TpeOptimizer {
-            lattice,
             settings,
             observations: Vec::new(),
-            explored: BTreeSet::new(),
-            prune: PruneSet::new(),
-            open,
-            pending: Vec::new(),
+            open: OpenSet::new(lattice),
         }
     }
 
     /// The search lattice.
     pub fn lattice(&self) -> &ConfigLattice {
-        &self.lattice
+        self.open.lattice()
     }
 
     /// All observations so far (including injected estimates).
@@ -101,70 +90,43 @@ impl TpeOptimizer {
 
     /// Returns `true` if the configuration has been explored (observed or injected).
     pub fn is_explored(&self, config: &[u32]) -> bool {
-        self.explored.contains(config)
+        self.open.is_explored(config)
     }
 
     /// Read access to the prune set.
     pub fn prune_set(&self) -> &PruneSet {
-        &self.prune
+        self.open.prune_set()
     }
 
     /// Candidates asked but not yet told or forgotten.
     pub fn pending(&self) -> &[Config] {
-        &self.pending
+        self.open.pending()
     }
 
     /// Prunes everything dominated by `violator` (QoS violated badly).
     pub fn prune_below(&mut self, violator: Config) {
-        self.open.retain(|c| !dominated_by(c, &violator));
-        self.prune.prune_below(violator);
+        self.open.prune_below(violator);
     }
 
     /// Prunes everything component-wise above `satisfier` (cannot beat the incumbent).
     pub fn prune_above(&mut self, satisfier: Config) {
-        self.open
-            .retain(|c| !dominated_by(&satisfier, c) || c.as_slice() == satisfier.as_slice());
-        self.prune.prune_above(satisfier);
+        self.open.prune_above(satisfier);
     }
 
     fn record(&mut self, config: Config, value: f64, estimated: bool) -> Result<(), BoError> {
-        if !self.lattice.contains(&config) {
+        if !self.lattice().contains(&config) {
             return Err(BoError::InvalidConfig(config));
         }
         if !value.is_finite() {
             return Err(BoError::NonFiniteObjective(value));
         }
-        if self.explored.insert(config.clone()) {
-            if let Ok(pos) = self.open.binary_search(&config) {
-                self.open.remove(pos);
-            }
-        }
+        self.open.explore(&config);
         self.observations.push(Observation {
             config,
             value,
             estimated,
         });
         Ok(())
-    }
-
-    fn take_pending(&mut self, config: &Config) {
-        if let Ok(pos) = self.open.binary_search(config) {
-            self.open.remove(pos);
-        }
-        self.pending.push(config.clone());
-    }
-
-    /// One shuffle of the whole open set, first `q` entries — byte-identical RNG
-    /// consumption to `BoOptimizer`'s initialization batches.
-    fn random_batch(&mut self, rng: &mut dyn RngCore, q: usize) -> Vec<Config> {
-        let mut open = self.open.clone();
-        let mut rng_ref: &mut dyn RngCore = rng;
-        open.shuffle(&mut rng_ref);
-        open.truncate(q);
-        for c in &open {
-            self.take_pending(c);
-        }
-        open
     }
 
     /// Per-dimension smoothed categorical densities of the good and bad observation sets.
@@ -185,7 +147,7 @@ impl TpeOptimizer {
         });
         let n_good = ((self.settings.gamma * n as f64).ceil() as usize).clamp(1, n - 1);
 
-        let bounds = self.lattice.bounds();
+        let bounds = self.lattice().bounds();
         let mut log_good: Vec<Vec<f64>> = Vec::with_capacity(bounds.len());
         let mut log_bad: Vec<Vec<f64>> = Vec::with_capacity(bounds.len());
         for (d, &bound) in bounds.iter().enumerate() {
@@ -239,12 +201,12 @@ impl TpeOptimizer {
             return None;
         }
         let Some((log_good, log_bad)) = self.parzen_split() else {
-            return Some(self.random_batch(rng, 1).swap_remove(0));
+            return Some(self.open.random_batch(rng, 1).swap_remove(0));
         };
         let mut best: Option<(Config, f64)> = None;
         for _ in 0..self.settings.candidates.max(1) {
             let cand = self.sample_from_good(&log_good, rng);
-            if self.open.binary_search(&cand).is_err() {
+            if !self.open.contains(&cand) {
                 continue; // explored, pruned, or in flight
             }
             let score: f64 = cand
@@ -259,20 +221,17 @@ impl TpeOptimizer {
         }
         match best {
             Some((cand, _)) => {
-                self.take_pending(&cand);
+                self.open.take(&cand);
                 Some(cand)
             }
-            None => Some(self.random_batch(rng, 1).swap_remove(0)),
+            None => Some(self.open.random_batch(rng, 1).swap_remove(0)),
         }
     }
 
     /// Resets observations and pruning, keeping lattice and settings.
     pub fn reset(&mut self) {
         self.observations.clear();
-        self.explored.clear();
-        self.prune.clear();
-        self.open = self.lattice.enumerate();
-        self.pending.clear();
+        self.open.reset();
     }
 }
 
@@ -283,7 +242,7 @@ impl Optimizer for TpeOptimizer {
         }
         let q = q.max(1).min(self.open.len());
         if self.num_evaluations() < self.settings.initial_samples || self.observations.is_empty() {
-            return Ok(self.random_batch(rng, q));
+            return Ok(self.open.random_batch(rng, q));
         }
         let mut batch = Vec::with_capacity(q);
         for _ in 0..q {
@@ -299,9 +258,7 @@ impl Optimizer for TpeOptimizer {
     }
 
     fn tell(&mut self, outcome: Outcome) -> Result<bool, BoError> {
-        if let Some(pos) = self.pending.iter().position(|c| *c == outcome.config) {
-            self.pending.remove(pos);
-        }
+        self.open.settle(&outcome.config);
         let _ = self.record(outcome.config.clone(), outcome.value, outcome.estimated);
         if outcome.prune_below {
             self.prune_below(outcome.config.clone());
@@ -313,15 +270,7 @@ impl Optimizer for TpeOptimizer {
     }
 
     fn forget(&mut self, config: &[u32]) {
-        let Some(pos) = self.pending.iter().position(|c| c.as_slice() == config) else {
-            return;
-        };
-        let cfg = self.pending.remove(pos);
-        if !self.explored.contains(&cfg) && !self.prune.is_pruned(&cfg) {
-            if let Err(ins) = self.open.binary_search(&cfg) {
-                self.open.insert(ins, cfg);
-            }
-        }
+        self.open.forget(config);
     }
 
     fn remaining(&self) -> Option<usize> {
@@ -334,6 +283,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn toy_objective(cfg: &[u32]) -> f64 {
         let dx = cfg[0] as f64 - 3.0;
@@ -443,20 +393,20 @@ mod tests {
         tpe.prune_below(vec![1, 1]);
         tpe.prune_above(vec![2, 2]);
         assert!(tpe.open.len() < before);
-        for c in &tpe.open {
-            assert!(!tpe.prune.is_pruned(c));
+        for &r in tpe.open.ranks() {
+            assert!(!tpe.prune_set().is_pruned(&tpe.lattice().config_at(r)));
         }
     }
 
     #[test]
     fn forget_restores_open_in_enumeration_order() {
         let mut tpe = TpeOptimizer::new(ConfigLattice::new(vec![2, 2]), TpeSettings::default());
-        let before = tpe.open.clone();
+        let before = tpe.open.ranks().to_vec();
         let mut rng = StdRng::seed_from_u64(1);
         let batch = Optimizer::ask(&mut tpe, &mut rng, 4).unwrap();
         for c in &batch {
             Optimizer::forget(&mut tpe, c);
         }
-        assert_eq!(tpe.open, before);
+        assert_eq!(tpe.open.ranks(), before.as_slice());
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! where `R` rounds every coordinate to the nearest integer.
 
-use ribbon_linalg::{dist, dot};
+use ribbon_linalg::{dot, sq_dist};
 
 /// A positive semi-definite covariance function over `R^d`.
 pub trait Kernel: Send + Sync {
@@ -48,6 +48,35 @@ pub trait Kernel: Send + Sync {
         self.diag(a)
     }
 
+    /// [`Kernel::prepare`] without the allocation: overwrites `x` with `prepare(x)`
+    /// (bit-identical). The default calls `prepare`, so it requires `prepare` to keep the
+    /// dimension, as every kernel here does; kernels with an identity or element-wise
+    /// `prepare` override it to skip the allocation.
+    fn prepare_in_place(&self, x: &mut [f64]) {
+        let prepared = self.prepare(x);
+        x.copy_from_slice(&prepared);
+    }
+
+    /// Covariances indexed by exact integer squared distance, for kernels whose value
+    /// between two prepared points depends on nothing else: entry `d2` for every
+    /// `d2` in `0..=max_sq_dist`. `None` (the default) when the kernel has no such table.
+    ///
+    /// Bit-identity contract: when this returns `Some(t)`, then for every pair of
+    /// prepared points `a`, `b` whose coordinates are all integers and whose squared
+    /// distance `d2 = Σ (aᵢ − bᵢ)²` is at most `max_sq_dist`,
+    ///
+    /// ```text
+    /// eval_prepared(a, b) == t[d2]   (bit-identical)
+    /// ```
+    ///
+    /// Integer coordinates make `d2` an exact integer, so a batched caller may replace
+    /// the kernel evaluation by a table lookup without changing one bit of a posterior.
+    /// The caller checks integrality; the table engages for no other inputs.
+    fn sq_dist_table(&self, max_sq_dist: usize) -> Option<Vec<f64>> {
+        let _ = max_sq_dist;
+        None
+    }
+
     /// Human-readable name used in logs and benchmark output.
     fn name(&self) -> &'static str;
 }
@@ -81,17 +110,35 @@ impl Matern52 {
     pub fn default_unit() -> Self {
         Matern52::new(1.0, 1.0)
     }
+
+    /// The covariance at squared distance `d2`: the one formula behind both
+    /// [`Kernel::eval`] and [`Kernel::sq_dist_table`].
+    fn at_sq_dist(&self, d2: f64) -> f64 {
+        let r = d2.sqrt() / self.length_scale;
+        let sqrt5_r = 5.0_f64.sqrt() * r;
+        self.variance * (1.0 + sqrt5_r + 5.0 * r * r / 3.0) * (-sqrt5_r).exp()
+    }
 }
 
 impl Kernel for Matern52 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = dist(a, b) / self.length_scale;
-        let sqrt5_r = 5.0_f64.sqrt() * r;
-        self.variance * (1.0 + sqrt5_r + 5.0 * r * r / 3.0) * (-sqrt5_r).exp()
+        self.at_sq_dist(sq_dist(a, b))
     }
 
     fn diag(&self, _a: &[f64]) -> f64 {
         self.variance
+    }
+
+    fn prepare_in_place(&self, _x: &mut [f64]) {}
+
+    fn sq_dist_table(&self, max_sq_dist: usize) -> Option<Vec<f64>> {
+        // An integer below 2^53 converts to f64 exactly, and `sq_dist` of integer
+        // coordinates is that exact integer, so entry and evaluation share every input.
+        Some(
+            (0..=max_sq_dist)
+                .map(|d2| self.at_sq_dist(d2 as f64))
+                .collect(),
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -258,6 +305,25 @@ impl<K: Kernel> Kernel for Rounded<K> {
         self.inner.diag_prepared(a)
     }
 
+    fn prepare_in_place(&self, x: &mut [f64]) {
+        // From 2^52 on every `f64` is an integer; below it, adding and removing 2^52
+        // rounds to an integer, so the pair is exact only for integers. Integers round to
+        // themselves: skip the `round` call (a library call on baseline x86-64) for them.
+        const TWO_POW_52: f64 = (1u64 << 52) as f64;
+        for v in x.iter_mut() {
+            let a = v.abs();
+            if a < TWO_POW_52 && (a + TWO_POW_52) - TWO_POW_52 != a {
+                *v = v.round();
+            }
+        }
+        self.inner.prepare_in_place(x);
+    }
+
+    fn sq_dist_table(&self, max_sq_dist: usize) -> Option<Vec<f64>> {
+        // Prepared points are inner-prepared points, so the inner contract carries over.
+        self.inner.sq_dist_table(max_sq_dist)
+    }
+
     fn name(&self) -> &'static str {
         "rounded"
     }
@@ -285,6 +351,14 @@ impl Kernel for BoxedKernel {
 
     fn diag_prepared(&self, a: &[f64]) -> f64 {
         self.as_ref().diag_prepared(a)
+    }
+
+    fn prepare_in_place(&self, x: &mut [f64]) {
+        self.as_ref().prepare_in_place(x)
+    }
+
+    fn sq_dist_table(&self, max_sq_dist: usize) -> Option<Vec<f64>> {
+        self.as_ref().sq_dist_table(max_sq_dist)
     }
 
     fn name(&self) -> &'static str {

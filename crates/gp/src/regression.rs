@@ -111,6 +111,38 @@ impl Posterior {
     }
 }
 
+/// Points [`GaussianProcess::predict_many`] scores per pass, one lane each.
+pub const PREDICT_LANES: usize = 8;
+
+/// Largest coordinate magnitude at which the kernel table engages: squared distances of
+/// such integer points are exact in `f64`.
+const TABLE_COORD_LIMIT: f64 = (1u64 << 20) as f64;
+
+/// 2^52: the spacing of `f64` values reaches 1 here, so adding it to a non-negative value
+/// below it rounds that value to an integer.
+const TWO_POW_52: f64 = (1u64 << 52) as f64;
+
+/// `true` for an integer of magnitude at most [`TABLE_COORD_LIMIT`]. Branch-free and
+/// call-free (`trunc` is a library call on baseline x86-64).
+fn is_table_coord(v: f64) -> bool {
+    let a = v.abs();
+    (a <= TABLE_COORD_LIMIT) & ((a + TWO_POW_52) - TWO_POW_52 == a)
+}
+
+/// The integer value of `d2`, an integer in `0..2^52`: adding 2^52 places it in the low
+/// mantissa bits exactly. Cheaper than the saturating `as usize` conversion.
+fn exact_index(d2: f64) -> usize {
+    ((d2 + TWO_POW_52).to_bits() & ((1u64 << 52) - 1)) as usize
+}
+
+/// Kernel values of one GP by exact integer squared distance, from
+/// [`GaussianProcess::kernel_table`]; pass it to that GP's
+/// [`GaussianProcess::predict_many`].
+#[derive(Debug, Clone)]
+pub struct KernelTable {
+    values: Vec<f64>,
+}
+
 /// A fitted exact Gaussian-Process regressor.
 pub struct GaussianProcess<K: Kernel> {
     kernel: K,
@@ -327,25 +359,154 @@ impl<K: Kernel> GaussianProcess<K> {
         self.predict_with_buffers(q, &mut k_star, &mut v)
     }
 
-    /// Batch prediction over many query points.
-    ///
-    /// Produces exactly the posteriors [`GaussianProcess::predict`] would return for each
-    /// point, but computes each cross-kernel row once into a shared buffer, prepares every
-    /// query point a single time (one integer-rounding pass per point for [`Rounded`]
-    /// kernels instead of one per kernel evaluation), and reuses one scratch vector for all
-    /// the forward solves — no per-candidate allocations. This is the acquisition
-    /// maximization hot path: the BO optimizer scores every open lattice point through it.
-    ///
-    /// [`Rounded`]: crate::kernel::Rounded
-    pub fn predict_many(&self, qs: &[Vec<f64>]) -> Result<Vec<Posterior>, GpError> {
-        let n = self.x.len();
-        let mut k_star = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        let mut out = Vec::with_capacity(qs.len());
-        for q in qs {
-            out.push(self.predict_with_buffers(q, &mut k_star, &mut v)?);
+    /// The kernel table ([`Kernel::sq_dist_table`]) for batched predictions against this
+    /// GP's training set, covering squared distances up to `max_sq_dist`. `None` when the
+    /// kernel has no table or a prepared training coordinate is not an integer of
+    /// magnitude at most 2^20 (the range in which every squared distance the table can
+    /// index is computed exactly).
+    pub fn kernel_table(&self, max_sq_dist: usize) -> Option<KernelTable> {
+        if !self.x_prepared.iter().flatten().all(|&v| is_table_coord(v)) {
+            return None;
         }
-        Ok(out)
+        self.kernel
+            .sq_dist_table(max_sq_dist)
+            .map(|values| KernelTable { values })
+    }
+
+    /// Batch prediction: writes into `out[j]` the posterior [`GaussianProcess::predict`]
+    /// returns for the point `coords[j·d .. (j+1)·d]` (`d` = [`GaussianProcess::dim`]),
+    /// bit for bit. This is the acquisition scan's hot path.
+    ///
+    /// Points are scored [`PREDICT_LANES`] per pass, one lane per point: each lane runs
+    /// `predict`'s operations in `predict`'s order (every sum starts from the value
+    /// `f64`'s `Sum` starts from, as `dot` does), so the forward solves of the lanes are
+    /// independent chains the CPU overlaps instead of one serial chain per point.
+    ///
+    /// `table` is this GP's [`GaussianProcess::kernel_table`]. A pass looks kernel values
+    /// up in it when every prepared coordinate of its points is an integer of magnitude
+    /// at most 2^20 and the squared distance is within the table, and evaluates the
+    /// kernel otherwise; the [`Kernel::sq_dist_table`] contract makes both give the same
+    /// bits.
+    ///
+    /// # Errors
+    /// [`GpError::QueryDimensionMismatch`] when `coords.len() != out.len() · d`, and
+    /// [`GpError::NonFinite`] when a posterior is not finite.
+    pub fn predict_many(
+        &self,
+        coords: &[f64],
+        table: Option<&KernelTable>,
+        out: &mut [Posterior],
+    ) -> Result<(), GpError> {
+        let d = self.dim;
+        if coords.len() != out.len() * d {
+            return Err(GpError::QueryDimensionMismatch {
+                expected: out.len() * d,
+                got: coords.len(),
+            });
+        }
+        if d == 0 {
+            // No coordinates to batch: every point is the same empty point.
+            for post in out.iter_mut() {
+                *post = self.predict(&[])?;
+            }
+            return Ok(());
+        }
+        const L: usize = PREDICT_LANES;
+        let n = self.x.len();
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        // Lane-major prepared points and their dims-major copy, then the
+        // cross-covariances and the forward solve, each `[lane 0, …, lane L-1]` per
+        // coordinate or training point.
+        let mut prepared = vec![0.0; L * d];
+        let mut by_dim = vec![[0.0; L]; d];
+        let mut k_star = vec![[0.0; L]; n];
+        let mut v = vec![[0.0; L]; n];
+        for (group, posts) in coords.chunks(L * d).zip(out.chunks_mut(L)) {
+            let live = posts.len();
+            for l in 0..L {
+                // Idle tail lanes repeat the group's last point; they are never written.
+                let j = l.min(live - 1);
+                let lane = &mut prepared[l * d..(l + 1) * d];
+                lane.copy_from_slice(&group[j * d..(j + 1) * d]);
+                self.kernel.prepare_in_place(lane);
+            }
+            // A branch-free fold: it vectorizes, where `all` would stop at each element.
+            let integral = prepared.iter().fold(true, |ok, &c| ok & is_table_coord(c));
+            match table.filter(|_| integral) {
+                Some(t) => {
+                    for (dim, lanes) in by_dim.iter_mut().enumerate() {
+                        for (l, c) in lanes.iter_mut().enumerate() {
+                            *c = prepared[l * d + dim];
+                        }
+                    }
+                    let max_sq_dist = (t.values.len() - 1) as f64;
+                    for (ks, xp) in k_star.iter_mut().zip(&self.x_prepared) {
+                        // Exact: integer coordinates of magnitude ≤ 2^20.
+                        let mut d2 = [0.0; L];
+                        for (&x, lanes) in xp.iter().zip(&by_dim) {
+                            for l in 0..L {
+                                let diff = x - lanes[l];
+                                d2[l] += diff * diff;
+                            }
+                        }
+                        for (l, k) in ks.iter_mut().enumerate() {
+                            *k = if d2[l] <= max_sq_dist {
+                                t.values[exact_index(d2[l])]
+                            } else {
+                                self.kernel.eval_prepared(xp, &prepared[l * d..][..d])
+                            };
+                        }
+                    }
+                }
+                None => {
+                    for (ks, xp) in k_star.iter_mut().zip(&self.x_prepared) {
+                        for (l, k) in ks.iter_mut().enumerate() {
+                            *k = self.kernel.eval_prepared(xp, &prepared[l * d..][..d]);
+                        }
+                    }
+                }
+            }
+            // mean = prior + k*·α
+            let mut mean = [zero; L];
+            for (ks, &a) in k_star.iter().zip(&self.alpha) {
+                for l in 0..L {
+                    mean[l] += ks[l] * a;
+                }
+            }
+            // v = L⁻¹ k*, row by row as `Cholesky::solve_lower_into` runs it.
+            let factor = self.chol.l();
+            for i in 0..n {
+                let row = factor.row(i);
+                let mut sum = k_star[i];
+                for (&lik, vk) in row[..i].iter().zip(&v[..i]) {
+                    for l in 0..L {
+                        sum[l] -= lik * vk[l];
+                    }
+                }
+                for l in 0..L {
+                    v[i][l] = sum[l] / row[i];
+                }
+            }
+            let mut vv = [zero; L];
+            for vi in &v {
+                for l in 0..L {
+                    vv[l] += vi[l] * vi[l];
+                }
+            }
+            for (l, post) in posts.iter_mut().enumerate() {
+                let diag = self.kernel.diag_prepared(&prepared[l * d..(l + 1) * d]);
+                let m = self.prior_mean + mean[l];
+                let var = (diag - vv[l]).max(0.0);
+                if !m.is_finite() || !var.is_finite() {
+                    return Err(GpError::NonFinite);
+                }
+                *post = Posterior {
+                    mean: m,
+                    variance: var,
+                };
+            }
+        }
+        Ok(())
     }
 
     /// Shared single-point posterior computation writing intermediates into caller-owned
@@ -728,10 +889,14 @@ mod tests {
         let x = xs_1d(&[0.0, 1.0, 2.0]);
         let y = vec![0.1, 0.9, 0.4];
         let gp = GaussianProcess::fit(Matern52::new(1.0, 1.5), x, y, GpConfig::default()).unwrap();
-        let qs = xs_1d(&[0.5, 1.5, 3.0]);
-        let batch = gp.predict_many(&qs).unwrap();
+        let qs = [0.5, 1.5, 3.0];
+        let mut batch = [Posterior {
+            mean: 0.0,
+            variance: 0.0,
+        }; 3];
+        gp.predict_many(&qs, None, &mut batch).unwrap();
         for (q, b) in qs.iter().zip(&batch) {
-            assert_eq!(*b, gp.predict(q).unwrap());
+            assert_eq!(*b, gp.predict(&[*q]).unwrap());
         }
     }
 

@@ -201,10 +201,17 @@ pub struct FleetReport {
     pub serve: Option<FleetServeTotals>,
 }
 
-/// Joint lattices beyond this many points skip the BO refinement stage (the candidate
-/// set alone would be hundreds of megabytes); the deterministic pooling candidates and
-/// the greedy descent carry the search there.
+/// Joint lattices beyond this many points skip the BO refinement stage; the
+/// deterministic pooling candidates and the greedy descent carry the search there. The
+/// limit is scan time, not memory: the open set costs 4 bytes per point, but every
+/// acquisition ask scores every open point, so one ask grows linearly with the lattice.
 pub const JOINT_BO_LATTICE_CAP: u64 = 2_000_000;
+
+/// `true` when the joint lattice spanned by `bounds` is too large for BO refinement:
+/// more than [`JOINT_BO_LATTICE_CAP`] points, or a count that overflows `u64`.
+fn skips_bo_refinement(bounds: &[u32]) -> bool {
+    ConfigLattice::count_points(bounds).is_none_or(|n| n > JOINT_BO_LATTICE_CAP)
+}
 
 /// The RIBBON fleet planner (the only implementation today; the trait keeps the CLI and
 /// tests planner-agnostic the way [`crate::scenario::Planner`] does for scenarios).
@@ -446,10 +453,10 @@ impl RibbonFleetPlanner {
     /// no shared families (no warm candidates, no descent) this performs exactly the
     /// operation sequence of [`RibbonSearch::run`] on the member's evaluator.
     ///
-    /// The BO refinement stage enumerates the joint lattice; past
-    /// [`JOINT_BO_LATTICE_CAP`] points that is not tractable (hundreds of megabytes of
-    /// candidate storage), so oversized cross-product spaces skip the BO stage and the
-    /// deterministic candidates + descent carry the search alone. The returned flag
+    /// The BO refinement stage scores every open point of the joint lattice on each
+    /// ask; past [`JOINT_BO_LATTICE_CAP`] points (or when the count overflows) that scan
+    /// time is not tractable, so oversized cross-product spaces skip the BO stage and
+    /// the deterministic candidates + descent carry the search alone. The returned flag
     /// records that skip so the report never reads as "refined" when it wasn't.
     fn joint_search(
         &self,
@@ -460,12 +467,7 @@ impl RibbonFleetPlanner {
     ) -> (Vec<FleetEvaluation>, bool) {
         let settings = &fleet.search;
         let bounds = evaluator.bounds().to_vec();
-        let lattice_points: u64 = bounds
-            .iter()
-            .map(|&b| b as u64 + 1)
-            .product::<u64>()
-            .saturating_sub(1);
-        let bo_refinement_skipped = lattice_points > JOINT_BO_LATTICE_CAP;
+        let bo_refinement_skipped = skips_bo_refinement(&bounds);
         let mut bo = (!bo_refinement_skipped).then(|| {
             BoOptimizer::new(
                 ConfigLattice::new(bounds.clone()),
@@ -1637,5 +1639,21 @@ impl FleetReport {
             ));
         }
         lines
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_or_overflowing_joint_lattices_skip_bo_refinement() {
+        assert!(!skips_bo_refinement(&[10, 10, 10]));
+        // Exactly the cap is refined; one point more is not.
+        assert!(!skips_bo_refinement(&[2_000_000, 0]));
+        assert!(skips_bo_refinement(&[2_000_001, 0]));
+        // (2^32)^2 wraps to 0 in unchecked u64 arithmetic, under the cap.
+        assert!(skips_bo_refinement(&[u32::MAX, u32::MAX]));
+        assert!(skips_bo_refinement(&[u32::MAX; 4]));
     }
 }

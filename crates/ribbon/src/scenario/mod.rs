@@ -71,6 +71,7 @@ pub use spec::{
 use crate::evaluator::{ConfigEvaluator, EvaluatorSettings};
 use crate::online::{OnlineControllerSettings, OnlineRunSettings};
 use crate::search::RibbonSettings;
+use ribbon_bo::{ConfigLattice, MAX_LATTICE_POINTS};
 use ribbon_cloudsim::{
     AdmissionClass, Catalog, DeadlinePolicy, MeanLatencyPolicy, PhasedArrivalProcess,
     PhasedStreamConfig, QosPolicy, QosTarget, RatePhase, TierSet, TierSpec, WindowConfig,
@@ -422,6 +423,15 @@ impl ScenarioSpec {
                     "at least one bound must be positive",
                 ));
             }
+            // A variant palette doubles the lattice's dimensions: one variant index per type.
+            let mut joint = bounds.clone();
+            if workload.has_variant_axis() {
+                joint.extend(std::iter::repeat_n(
+                    workload.num_variants() - 1,
+                    bounds.len(),
+                ));
+            }
+            check_lattice_size("evaluator.bounds", &joint)?;
             settings.explicit_bounds = Some(bounds.clone());
         }
         settings.threads = e.threads;
@@ -634,6 +644,23 @@ impl ScenarioSpec {
                 "a [traffic] section needs a `scenario` name or a `phases` list",
             )),
         }
+    }
+}
+
+/// Rejects bounds whose search lattice holds more points than a search can rank
+/// ([`MAX_LATTICE_POINTS`]), before anything is allocated for it. `path` is the spec
+/// field that sets the bounds.
+pub(crate) fn check_lattice_size(path: &str, bounds: &[u32]) -> Result<(), ScenarioError> {
+    match ConfigLattice::count_points(bounds) {
+        Some(n) if n <= MAX_LATTICE_POINTS => Ok(()),
+        n => Err(ScenarioError::invalid(
+            path,
+            format!(
+                "bounds {bounds:?} span {} lattice points; a search ranks at most \
+                 {MAX_LATTICE_POINTS}",
+                n.map_or_else(|| "more than 2^64".to_string(), |n| n.to_string())
+            ),
+        )),
     }
 }
 
@@ -863,6 +890,79 @@ bounds = [4, 2, 4]
             assert!(
                 e.to_string().contains(expected_path),
                 "{to}: {e} (expected path {expected_path})"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_explicit_bounds_fail_validation_at_their_path() {
+        // 1001^3 − 1 ≈ 1.0e9 points: within the u32 ranks a search holds.
+        let fits = minimal_toml().replace("bounds = [4, 2, 4]", "bounds = [1000, 1000, 1000]");
+        assert!(ScenarioSpec::from_toml_str(&fits)
+            .unwrap()
+            .compile()
+            .is_ok());
+        let palette = "num_queries = 600\nvariants = [\"fp32-b1\", \"fp16-b8\", \"int8-compiled\"]";
+        let cases = [
+            // ~1e15 points.
+            minimal_toml().replace("bounds = [4, 2, 4]", "bounds = [100000, 100000, 100000]"),
+            // (2^32)^3: the count overflows u64.
+            minimal_toml().replace(
+                "bounds = [4, 2, 4]",
+                "bounds = [4294967295, 4294967295, 4294967295]",
+            ),
+            // The variant half multiplies the fitting pool lattice by 3^3.
+            fits.replace("num_queries = 600", palette),
+        ];
+        for toml in cases {
+            let e = ScenarioSpec::from_toml_str(&toml)
+                .unwrap()
+                .compile()
+                .unwrap_err();
+            assert!(
+                matches!(&e, ScenarioError::Invalid { path, .. } if path == "evaluator.bounds"),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_probed_bounds_fail_the_run_before_the_search() {
+        // Under this load every type keeps improving up to the 40-instance probe cap, so
+        // the probed lattice has 41^8 − 1 ≈ 8e12 points. That is only known at run time.
+        let toml = r#"
+[scenario]
+name = "probed-oversized"
+mode = "plan"
+seed = 3
+
+[workload]
+model = "MT-WND"
+qps = 60000.0
+num_queries = 1000
+diverse_pool = ["g4dn", "c5", "c5a", "m5", "m5n", "r5", "r5n", "t3"]
+
+[planner]
+name = "ribbon"
+budget = 4
+baseline = false
+
+[evaluator]
+max_per_type = 40
+saturation_epsilon = 0.000000001
+"#;
+        let scenario = ScenarioSpec::from_toml_str(toml)
+            .unwrap()
+            .compile()
+            .expect("derived bounds pass validation");
+        for planner in ["ribbon", "random"] {
+            let e = planner_by_name(planner, &scenario)
+                .unwrap()
+                .run(&scenario)
+                .unwrap_err();
+            assert!(
+                matches!(&e, ScenarioError::Invalid { path, .. } if path == "evaluator.max_per_type"),
+                "{planner}: {e}"
             );
         }
     }

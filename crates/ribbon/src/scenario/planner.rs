@@ -12,7 +12,7 @@
 use super::error::ScenarioError;
 use super::report::{BaselineReport, PlanReport, ScenarioReport, ServeReport, TierReport};
 use super::spec::RunMode;
-use super::Scenario;
+use super::{check_lattice_size, Scenario};
 use crate::accounting::homogeneous_optimum;
 use crate::evaluator::ConfigEvaluator;
 use crate::online::serve_online_tiered;
@@ -48,6 +48,12 @@ pub trait Planner: Send + Sync {
             RunMode::Serve => self.serve(scenario),
         }
     }
+}
+
+/// The run-time half of the lattice-size check: bounds the evaluator probed (explicit
+/// bounds were checked at compile time) must span a lattice a search can rank.
+fn check_probed_bounds(bounds: &[u32]) -> Result<(), ScenarioError> {
+    check_lattice_size("evaluator.max_per_type", bounds)
 }
 
 /// Builds the plan section shared by every planner: best configuration, optional
@@ -116,6 +122,7 @@ impl RibbonPlanner {
     /// variant-unaware operator would pick, and thus the honest saving denominator.
     fn plan_variants(&self, scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
         let evaluator = scenario.build_variant_evaluator();
+        check_probed_bounds(&evaluator.joint_bounds())?;
         let search = RibbonSearch::new(scenario.search_settings.clone());
         let trace = search.run(&evaluator, scenario.spec.seed);
 
@@ -154,6 +161,7 @@ impl Planner for RibbonPlanner {
             return self.plan_variants(scenario);
         }
         let evaluator = scenario.build_evaluator();
+        check_probed_bounds(evaluator.bounds())?;
         let search = RibbonSearch::new(scenario.search_settings.clone());
         let trace = search.run(&evaluator, scenario.spec.seed);
         let mut report = report_shell(scenario, self.name(), RunMode::Plan);
@@ -218,6 +226,7 @@ impl Planner for SearchPlanner {
     fn plan(&self, scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
         self.reject_variants(scenario)?;
         let evaluator = scenario.build_evaluator();
+        check_probed_bounds(evaluator.bounds())?;
         let trace = self.strategy.run_search(&evaluator, scenario.spec.seed);
         let mut report = report_shell(scenario, self.name(), RunMode::Plan);
         report.plan = Some(plan_report(scenario, &evaluator, trace));
@@ -228,6 +237,7 @@ impl Planner for SearchPlanner {
         self.reject_variants(scenario)?;
         let traffic = scenario.require_traffic()?;
         let evaluator = scenario.build_evaluator();
+        check_probed_bounds(evaluator.bounds())?;
         let trace = self.strategy.run_search(&evaluator, scenario.spec.seed);
         let plan = plan_report(scenario, &evaluator, trace);
         let config = plan.best_config.clone().ok_or_else(|| {

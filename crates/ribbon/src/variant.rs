@@ -146,6 +146,15 @@ impl VariantEvaluator {
         &self.pool_bounds
     }
 
+    /// The joint lattice's bounds: the pool bounds followed by `V − 1` for every variant
+    /// coordinate.
+    pub fn joint_bounds(&self) -> Vec<u32> {
+        let palette_top = (self.profile.variants().len() as u32).saturating_sub(1);
+        let mut bounds = self.pool_bounds.clone();
+        bounds.extend(std::iter::repeat_n(palette_top, self.pool_dims()));
+        bounds
+    }
+
     /// The Eq. 2 objective (over the pool half of a configuration).
     pub fn objective(&self) -> &RibbonObjective {
         &self.objective
@@ -312,10 +321,7 @@ impl BatchEvaluator for VariantEvaluator {
 
     /// The joint lattice: pool bounds followed by `V − 1` for every variant coordinate.
     fn lattice(&self) -> ConfigLattice {
-        let palette_top = (self.profile.variants().len() as u32).saturating_sub(1);
-        let mut bounds = self.pool_bounds.clone();
-        bounds.extend(std::iter::repeat_n(palette_top, self.pool_dims()));
-        ConfigLattice::new(bounds)
+        ConfigLattice::new(self.joint_bounds())
     }
 
     fn target_rate(&self) -> f64 {
