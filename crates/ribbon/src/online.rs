@@ -207,11 +207,35 @@ impl OnlineController {
         seed: u64,
         policy: Arc<dyn QosPolicy>,
     ) -> Option<OnlineController> {
+        let evaluator = Self::planning_evaluator(workload, &settings, policy.clone());
+        Self::bootstrap_on(&evaluator, workload, initial_search, settings, seed, policy)
+    }
+
+    /// The evaluator the bootstrap search plans on: `workload` cut to the controller's
+    /// planning stream and judged by `policy`. Building it probes the per-type bounds
+    /// when `settings.evaluator` gives none, so a caller can check the lattice they span
+    /// before [`OnlineController::bootstrap_on`] searches it.
+    pub fn planning_evaluator(
+        workload: &Workload,
+        settings: &OnlineControllerSettings,
+        policy: Arc<dyn QosPolicy>,
+    ) -> ConfigEvaluator {
         let mut planning = workload.clone();
         planning.num_queries = settings.planning_queries;
-        let evaluator =
-            ConfigEvaluator::with_policy(&planning, settings.evaluator.clone(), policy.clone());
-        let trace = RibbonSearch::new(initial_search.clone()).run(&evaluator, seed);
+        ConfigEvaluator::with_policy(&planning, settings.evaluator.clone(), policy)
+    }
+
+    /// [`OnlineController::bootstrap_with_policy`] on the evaluator
+    /// [`OnlineController::planning_evaluator`] built for the same arguments.
+    pub fn bootstrap_on(
+        evaluator: &ConfigEvaluator,
+        workload: &Workload,
+        initial_search: &RibbonSettings,
+        settings: OnlineControllerSettings,
+        seed: u64,
+        policy: Arc<dyn QosPolicy>,
+    ) -> Option<OnlineController> {
+        let trace = RibbonSearch::new(initial_search.clone()).run(evaluator, seed);
         let best = trace.best_satisfying()?.clone();
         Some(OnlineController {
             settings,
@@ -708,14 +732,28 @@ pub fn serve_online_tiered(
     policy: Arc<dyn QosPolicy>,
     tiers: Option<TierSet>,
 ) -> Option<OnlineOutcome> {
-    let mut controller = OnlineController::bootstrap_with_policy(
+    let controller = OnlineController::bootstrap_with_policy(
         workload,
         &settings.initial_search,
         settings.controller.clone(),
         seed,
         policy.clone(),
-    )?
-    .with_tiers(tiers.clone());
+    )?;
+    Some(serve_from(
+        controller, workload, traffic, settings, policy, tiers,
+    ))
+}
+
+/// The serve loop of [`serve_online_tiered`], from an already bootstrapped controller.
+pub fn serve_from(
+    controller: OnlineController,
+    workload: &Workload,
+    traffic: &PhasedStreamConfig,
+    settings: &OnlineRunSettings,
+    policy: Arc<dyn QosPolicy>,
+    tiers: Option<TierSet>,
+) -> OnlineOutcome {
+    let mut controller = controller.with_tiers(tiers.clone());
     let initial_config = controller.current_config().to_vec();
     // With a variant palette the simulator times dispatches by the palette's latency
     // model (index 0, the initial serving variant, is the accuracy-best entry); without
@@ -832,7 +870,7 @@ pub fn serve_online_tiered(
 
     let stats = sim.stats();
     let duration_s = stats.makespan.max(sim.clock());
-    Some(OnlineOutcome {
+    OnlineOutcome {
         initial_config,
         windows,
         events,
@@ -846,7 +884,7 @@ pub fn serve_online_tiered(
         tier_totals: sim.tier_totals().to_vec(),
         tiers,
         stats,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -950,20 +950,30 @@ baseline = false
 [evaluator]
 max_per_type = 40
 saturation_epsilon = 0.000000001
+
+[traffic]
+scenario = "flash-crowd"
+duration_s = 10.0
+
+[online]
+planning_queries = 1000
 "#;
-        let scenario = ScenarioSpec::from_toml_str(toml)
-            .unwrap()
-            .compile()
-            .expect("derived bounds pass validation");
-        for planner in ["ribbon", "random"] {
-            let e = planner_by_name(planner, &scenario)
+        for mode in ["plan", "serve"] {
+            let toml = toml.replace("mode = \"plan\"", &format!("mode = \"{mode}\""));
+            let scenario = ScenarioSpec::from_toml_str(&toml)
                 .unwrap()
-                .run(&scenario)
-                .unwrap_err();
-            assert!(
-                matches!(&e, ScenarioError::Invalid { path, .. } if path == "evaluator.max_per_type"),
-                "{planner}: {e}"
-            );
+                .compile()
+                .expect("derived bounds pass validation");
+            for planner in ["ribbon", "random"] {
+                let e = planner_by_name(planner, &scenario)
+                    .unwrap()
+                    .run(&scenario)
+                    .unwrap_err();
+                assert!(
+                    matches!(&e, ScenarioError::Invalid { path, .. } if path == "evaluator.max_per_type"),
+                    "{mode}, {planner}: {e}"
+                );
+            }
         }
     }
 

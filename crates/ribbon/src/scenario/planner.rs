@@ -15,7 +15,7 @@ use super::spec::RunMode;
 use super::{check_lattice_size, Scenario};
 use crate::accounting::homogeneous_optimum;
 use crate::evaluator::ConfigEvaluator;
-use crate::online::serve_online_tiered;
+use crate::online::{serve_from, OnlineController};
 use crate::search::{RibbonSearch, SearchTrace};
 use crate::strategies::{
     AskTellStrategy, BatchedSearch, ExhaustiveSearch, HillClimbSearch, RandomSearch,
@@ -171,21 +171,36 @@ impl Planner for RibbonPlanner {
 
     fn serve(&self, scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
         let traffic = scenario.require_traffic()?;
-        let outcome = serve_online_tiered(
+        let online = &scenario.online_settings;
+        let evaluator = OnlineController::planning_evaluator(
             &scenario.workload,
-            traffic,
-            &scenario.online_settings,
+            &online.controller,
+            scenario.policy.clone(),
+        );
+        check_probed_bounds(evaluator.bounds())?;
+        let controller = OnlineController::bootstrap_on(
+            &evaluator,
+            &scenario.workload,
+            &online.initial_search,
+            online.controller.clone(),
             scenario.spec.seed,
             scenario.policy.clone(),
-            scenario.tiers.clone(),
         )
         .ok_or_else(|| {
             ScenarioError::Run(format!(
                 "the initial search found no configuration meeting `{}` within {} evaluations",
                 scenario.policy.describe(),
-                scenario.online_settings.initial_search.max_evaluations
+                online.initial_search.max_evaluations
             ))
         })?;
+        let outcome = serve_from(
+            controller,
+            &scenario.workload,
+            traffic,
+            online,
+            scenario.policy.clone(),
+            scenario.tiers.clone(),
+        );
         let mut report = report_shell(scenario, self.name(), RunMode::Serve);
         report.serve = Some(ServeReport::from_outcome(&outcome));
         Ok(report)
