@@ -19,7 +19,7 @@
 //!
 //! * the **open set** ([`OpenSet`]: un-explored, un-pruned lattice points) is a sorted
 //!   `Vec<u32>` of lattice ranks maintained across calls — observations remove one rank,
-//!   prune boxes remove their covered region in one decoding pass — instead of
+//!   a prune box removes its runs of consecutive ranks in one merge — instead of
 //!   re-enumerating the lattice; a random ask shuffles a copy of the ranks;
 //! * the **GP surrogate** is an [`IncrementalGridGp`]: each new observation is folded into
 //!   every hyperparameter cell with a rank-1 Cholesky append (O(n²)) instead of refitting
@@ -30,10 +30,17 @@
 //!   with kernel values looked up in the winning GP's
 //!   [`kernel_table`](ribbon_gp::GaussianProcess::kernel_table) (all lattice coordinates
 //!   are integers). One chunked worker pool serves both the single suggestion and the
-//!   batched ask.
+//!   batched ask;
+//! * the **single suggestion** on a large open set computes every open point's exact
+//!   mean from a per-scan [`RowMeans`](ribbon_gp::RowMeans) table (one add per training
+//!   point and point) and runs the O(n²) solve and the score only where the mean is
+//!   above the [`Acquisition::mean_cutoff`] of the best score its worker has seen; the
+//!   batched ask needs every score and scans in full.
 //!
-//! All are exact optimizations: suggestions, RNG consumption, and scores are bit-identical
-//! to the from-scratch path (see `tests/incremental_gp.rs`).
+//! All are exact optimizations: suggestions, RNG consumption and the suggested point's
+//! score are bit-identical to the from-scratch path (see `tests/incremental_gp.rs` and
+//! `tests/scan_skip.rs`); the single suggestion never scores the points it skips, and
+//! the batched ask's scores are bit-identical too.
 
 use crate::acquisition::Acquisition;
 use crate::ask_tell::{Optimizer, Outcome};
@@ -41,7 +48,7 @@ use crate::space::{Config, ConfigLattice, OpenSet, PruneSet, RankDecoder};
 use rand::{Rng, RngCore};
 use ribbon_gp::{
     fit_gp, FitConfig, GaussianProcess, GpError, IncrementalGridGp, KernelTable, Matern52,
-    Posterior, Rounded,
+    Posterior, Rounded, RowCursor,
 };
 use std::fmt;
 
@@ -152,6 +159,11 @@ const SCAN_CHUNK: usize = 1024;
 /// Kernel tables beyond this many entries are not built (the scan evaluates the kernel
 /// instead); lattices with per-type bounds up to ~100 in six types stay below it.
 const MAX_KERNEL_TABLE: u64 = 1 << 16;
+
+/// [`RowMeans`](ribbon_gp::RowMeans) tables beyond this many products (2 MiB) are not
+/// built: the single suggestion then scores every open point. The hot-path lattice (six
+/// types, bound 10) needs 5,511 products per observation.
+const MAX_ROW_TABLE: usize = 1 << 18;
 
 type Surrogate = GaussianProcess<Rounded<Matern52>>;
 
@@ -328,17 +340,18 @@ impl BoOptimizer {
         (max_sq_dist < MAX_KERNEL_TABLE).then(|| gp.kernel_table(max_sq_dist as usize))?
     }
 
-    /// Scores the open set and hands each chunk's scores to `per_chunk` with the chunk's
-    /// offset into the open set, returning the chunk results in chunk order. Chunks of
+    /// Runs `per_chunk` on every chunk of the open set with the chunk's offset into the
+    /// open set and its ranks, returning the chunk results in chunk order. Chunks of
     /// [`SCAN_CHUNK`] points fan out over [`BoSettings::scan_threads`] workers through an
     /// atomic work index (as in the workspace parallel engine, ribbon-cloudsim::parallel);
-    /// each chunk is scored sequentially into its own slot, so the results do not depend
-    /// on the worker count.
-    fn scan<T: Send>(
+    /// each worker builds its own state with `worker` and runs its chunks in turn, each
+    /// result into its chunk's slot. Which worker runs a chunk depends on the thread
+    /// count, so callers reduce chunk results that read worker state (the skip scan's
+    /// running best) to a value that does not (the first maximum).
+    fn scan<W, T: Send>(
         &self,
-        gp: &Surrogate,
-        incumbent: f64,
-        per_chunk: impl Fn(usize, &[f64]) -> T + Sync,
+        worker: impl Fn() -> W + Sync,
+        per_chunk: impl Fn(&mut W, usize, &[u32]) -> Result<T, BoError> + Sync,
     ) -> Result<Vec<T>, BoError> {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;
@@ -354,22 +367,11 @@ impl BoOptimizer {
                     .unwrap_or(1)
             })
             .clamp(1, num_chunks.max(1));
-        let table = self.kernel_table(gp);
-        let dims = self.lattice().dims();
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<T, BoError>>>> =
             (0..num_chunks).map(|_| Mutex::new(None)).collect();
         let work = || {
-            let mut decoder = RankDecoder::new(self.lattice());
-            let mut coords = vec![0.0; SCAN_CHUNK * dims];
-            let mut posteriors = vec![
-                Posterior {
-                    mean: 0.0,
-                    variance: 0.0,
-                };
-                SCAN_CHUNK
-            ];
-            let mut scores = vec![0.0; SCAN_CHUNK];
+            let mut state = worker();
             loop {
                 let ci = next.fetch_add(1, Ordering::Relaxed);
                 if ci >= num_chunks {
@@ -377,25 +379,7 @@ impl BoOptimizer {
                 }
                 let start = ci * SCAN_CHUNK;
                 let chunk = &ranks[start..(start + SCAN_CHUNK).min(ranks.len())];
-                let len = chunk.len();
-                for (&rank, point) in chunk.iter().zip(coords.chunks_mut(dims)) {
-                    for (c, &digit) in point.iter_mut().zip(decoder.seek(rank)) {
-                        *c = f64::from(digit);
-                    }
-                }
-                let r = gp
-                    .predict_many(
-                        &coords[..len * dims],
-                        table.as_ref(),
-                        &mut posteriors[..len],
-                    )
-                    .map_err(BoError::from)
-                    .map(|()| {
-                        for (s, p) in scores.iter_mut().zip(&posteriors[..len]) {
-                            *s = self.settings.acquisition.score(p, incumbent);
-                        }
-                        per_chunk(start, &scores[..len])
-                    });
+                let r = per_chunk(&mut state, start, chunk);
                 *slots[ci].lock().expect("scan slot poisoned") = Some(r);
             }
         };
@@ -418,14 +402,54 @@ impl BoOptimizer {
             .collect()
     }
 
+    /// The [`Scorer`] of `gp` at `incumbent`.
+    fn scorer<'g>(&self, gp: &'g Surrogate, incumbent: f64) -> Scorer<'g> {
+        Scorer {
+            gp,
+            table: self.kernel_table(gp),
+            acquisition: self.settings.acquisition,
+            incumbent,
+        }
+    }
+
     /// Maximizes the acquisition function over the open set: the first candidate in
     /// enumeration order attaining the maximum score, exactly as the serial from-scratch
     /// scan picks it — each chunk keeps its first strictly-better score and the chunk
     /// winners are reduced in chunk order by the same rule.
+    ///
+    /// When the surrogate has a kernel table and the open set holds more points than its
+    /// [`RowMeans`](ribbon_gp::RowMeans) table (at most [`MAX_ROW_TABLE`] products), the
+    /// scan computes every open point's exact mean from that table and scores exactly
+    /// only the points whose mean is above the [`Acquisition::mean_cutoff`] of the best
+    /// score its worker has seen in this scan (see [`ScanWorker::best_skipping`]). A skipped point scores
+    /// strictly below a score of this scan, so it is never the first maximum: the
+    /// suggestion and its score are those of the full scan, at every `scan_threads`.
+    /// A skipped point's variance is never computed, so a non-finite variance there
+    /// raises no error; a non-finite mean is never skipped.
     fn scan_open(&self, gp: &Surrogate, incumbent: f64) -> Result<Suggestion, BoError> {
-        let winners = self.scan(gp, incumbent, |offset, scores| {
-            first_max(scores.iter().copied().enumerate()).map(|(k, s)| (offset + k, s))
-        })?;
+        let scorer = self.scorer(gp, incumbent);
+        let max_entries = MAX_ROW_TABLE.min(self.open.len().saturating_sub(1));
+        let rows = scorer
+            .table
+            .as_ref()
+            .and_then(|t| gp.row_means(t, self.lattice().bounds(), max_entries));
+        let new_worker = || ScanWorker::new(self.lattice());
+        let winners = match &rows {
+            Some(rows) => {
+                // Matérn's k(x, x) is its signal variance at every point.
+                let prior_variance = gp.kernel().inner().variance;
+                self.scan(
+                    || (new_worker(), rows.cursor()),
+                    |(w, cursor), start, ranks| {
+                        w.best_skipping(&scorer, cursor, prior_variance, start, ranks)
+                    },
+                )?
+            }
+            None => self.scan(new_worker, |w, start, ranks| {
+                let scores = w.score_ranks(&scorer, ranks)?;
+                Ok(first_max(scores.iter().copied().enumerate()).map(|(k, s)| (start + k, s)))
+            })?,
+        };
         let (idx, score) =
             first_max(winners.into_iter().flatten()).ok_or(BoError::SpaceExhausted)?;
         Ok(Suggestion {
@@ -438,8 +462,12 @@ impl BoOptimizer {
     /// scan prices a whole batch — the per-candidate scan cost is what made
     /// one-at-a-time suggestions the planner's bottleneck on large lattices.
     fn scan_scores(&self, gp: &Surrogate, incumbent: f64) -> Result<Vec<f64>, BoError> {
+        let scorer = self.scorer(gp, incumbent);
         Ok(self
-            .scan(gp, incumbent, |_, scores| scores.to_vec())?
+            .scan(
+                || ScanWorker::new(self.lattice()),
+                |w, _, ranks| Ok(w.score_ranks(&scorer, ranks)?.to_vec()),
+            )?
             .concat())
     }
 
@@ -699,6 +727,153 @@ impl BoOptimizer {
     /// prune box claimed it while it was in flight.
     pub fn forget(&mut self, config: &[u32]) {
         self.open.forget(config);
+    }
+}
+
+/// What every scan worker reads: the surrogate, its kernel table, the acquisition and
+/// the incumbent.
+struct Scorer<'g> {
+    gp: &'g Surrogate,
+    table: Option<KernelTable>,
+    acquisition: Acquisition,
+    incumbent: f64,
+}
+
+/// One scan worker's buffers, reused from chunk to chunk, and the skip scan's running
+/// best score.
+struct ScanWorker<'l> {
+    decoder: RankDecoder<'l>,
+    bounds: &'l [u32],
+    /// Flat coordinates of the points scored exactly.
+    coords: Vec<f64>,
+    posteriors: Vec<Posterior>,
+    scores: Vec<f64>,
+    /// Skip scan: one row's last coordinates and means, and the chunk positions of the
+    /// points scored exactly.
+    lasts: Vec<u32>,
+    means: Vec<f64>,
+    positions: Vec<usize>,
+    /// Skip scan: the best exact score this worker has seen in the scan, and the mean
+    /// cutoff computed for `cutoff_for`.
+    best: f64,
+    cutoff_for: f64,
+    cutoff: f64,
+}
+
+impl<'l> ScanWorker<'l> {
+    fn new(lattice: &'l ConfigLattice) -> Self {
+        ScanWorker {
+            decoder: RankDecoder::new(lattice),
+            bounds: lattice.bounds(),
+            coords: vec![0.0; SCAN_CHUNK * lattice.dims()],
+            posteriors: vec![
+                Posterior {
+                    mean: 0.0,
+                    variance: 0.0,
+                };
+                SCAN_CHUNK
+            ],
+            scores: vec![0.0; SCAN_CHUNK],
+            lasts: vec![0; SCAN_CHUNK],
+            means: vec![0.0; SCAN_CHUNK],
+            positions: vec![0; SCAN_CHUNK],
+            best: f64::NEG_INFINITY,
+            cutoff_for: f64::NEG_INFINITY,
+            cutoff: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Exact scores of the points `ranks` (at most [`SCAN_CHUNK`]), in order.
+    fn score_ranks(&mut self, scorer: &Scorer<'_>, ranks: &[u32]) -> Result<&[f64], BoError> {
+        let dims = self.bounds.len();
+        for (&rank, point) in ranks.iter().zip(self.coords.chunks_mut(dims)) {
+            for (c, &digit) in point.iter_mut().zip(self.decoder.seek(rank)) {
+                *c = f64::from(digit);
+            }
+        }
+        self.score_coords(scorer, ranks.len())?;
+        Ok(&self.scores[..ranks.len()])
+    }
+
+    /// Writes into `scores` the exact scores of the first `len` points in `coords`.
+    fn score_coords(&mut self, scorer: &Scorer<'_>, len: usize) -> Result<(), BoError> {
+        let dims = self.bounds.len();
+        scorer.gp.predict_many(
+            &self.coords[..len * dims],
+            scorer.table.as_ref(),
+            &mut self.posteriors[..len],
+        )?;
+        for (s, p) in self.scores.iter_mut().zip(&self.posteriors[..len]) {
+            *s = scorer.acquisition.score(p, scorer.incumbent);
+        }
+        Ok(())
+    }
+
+    /// The first maximum of the chunk `ranks` at offset `start` among the points that can
+    /// still reach the worker's best score: the exact mean of every point comes from
+    /// `cursor`, row by row; points whose finite mean is at most the cutoff of the best
+    /// score skip the posterior solve and the score, and the rest are scored exactly.
+    /// `None` when every point was skipped.
+    fn best_skipping(
+        &mut self,
+        scorer: &Scorer<'_>,
+        cursor: &mut RowCursor<'_>,
+        prior_variance: f64,
+        start: usize,
+        ranks: &[u32],
+    ) -> Result<Option<(usize, f64)>, BoError> {
+        if self.best != self.cutoff_for {
+            self.cutoff =
+                scorer
+                    .acquisition
+                    .mean_cutoff(scorer.incumbent, prior_variance, self.best);
+            self.cutoff_for = self.best;
+        }
+        let dims = self.bounds.len();
+        let row_len = u64::from(self.bounds[dims - 1]) + 1;
+        let mut kept = 0;
+        let mut k = 0;
+        while k < ranks.len() {
+            // Ranks are ascending: this row's open points follow `ranks[k]` up to the
+            // first rank of the next row.
+            let first = u64::from(ranks[k]);
+            let digits = self.decoder.seek(ranks[k]);
+            let (prefix, v0) = (&digits[..dims - 1], digits[dims - 1]);
+            let next_row = first + row_len - u64::from(v0);
+            // Distinct ranks: at most `next_row − first` of them lie in this row.
+            let window = &ranks[k..ranks.len().min(k + (next_row - first) as usize)];
+            let len = window.partition_point(|&r| u64::from(r) < next_row);
+            for (last, &r) in self.lasts.iter_mut().zip(&ranks[k..k + len]) {
+                *last = v0 + (r - ranks[k]);
+            }
+            cursor.means(prefix, &self.lasts[..len], &mut self.means[..len]);
+            for (j, (&mean, &last)) in self.means[..len].iter().zip(&self.lasts).enumerate() {
+                if mean.is_finite() && mean <= self.cutoff {
+                    continue;
+                }
+                let point = &mut self.coords[kept * dims..(kept + 1) * dims];
+                for (c, &p) in point.iter_mut().zip(prefix) {
+                    *c = f64::from(p);
+                }
+                point[dims - 1] = f64::from(last);
+                self.positions[kept] = start + k + j;
+                kept += 1;
+            }
+            k += len;
+        }
+        self.score_coords(scorer, kept)?;
+        let best = first_max(
+            self.positions[..kept]
+                .iter()
+                .copied()
+                .zip(self.scores[..kept].iter().copied()),
+        );
+        if let Some((_, score)) = best {
+            if score > self.best {
+                self.best = score;
+            }
+        }
+        Ok(best)
     }
 }
 

@@ -193,7 +193,8 @@ impl ConfigLattice {
 
 /// Decodes ranks to configurations. Over an ascending sequence of ranks it carries the
 /// digits forward from the previous rank — one add and compare per point for consecutive
-/// ranks — and falls back to division only when a rank goes backwards.
+/// ranks — and divides only where a digit wraps more than once (a jump ahead, or a rank
+/// that goes backwards).
 pub(crate) struct RankDecoder<'a> {
     bounds: &'a [u32],
     /// Digits of the current point, most significant first.
@@ -230,6 +231,10 @@ impl<'a> RankDecoder<'a> {
             if v < base {
                 *digit = v as u32;
                 carry = 0;
+            } else if v < 2 * base {
+                // One wrap, the common step to the next row: no division.
+                *digit = (v - base) as u32;
+                carry = 1;
             } else {
                 *digit = (v % base) as u32;
                 carry = v / base;
@@ -329,22 +334,97 @@ impl OpenSet {
         }
     }
 
-    /// Closes every point with `keep` false, decoding the ranks in one ascending pass.
-    fn retain(&mut self, mut keep: impl FnMut(&[u32]) -> bool) {
-        let mut decoder = RankDecoder::new(&self.lattice);
-        self.ranks.retain(|&r| keep(decoder.seek(r)));
+    /// Closes every open point of the box `lo[j] ..= hi[j]` (bounds inside the lattice,
+    /// `lo[j] ≤ hi[j]`), except its lowest corner `lo` when `keep_lo`.
+    ///
+    /// In rank order the box is one contiguous run of ranks per prefix of its leading
+    /// dimensions: those up to the last dimension the box does not span in full. The
+    /// runs come in ascending order, so one merge over the sorted ranks removes them,
+    /// with no rank decoded.
+    fn close_box(&mut self, lo: &[u32], hi: &[u32], keep_lo: bool) {
+        let bounds = self.lattice.bounds();
+        let dims = bounds.len();
+        // strides[j]: mixed-radix weight of digit j.
+        let mut strides = vec![1u64; dims];
+        for j in (0..dims - 1).rev() {
+            strides[j] = strides[j + 1] * (u64::from(bounds[j + 1]) + 1);
+        }
+        // Runs vary digits `..k` and span digit `k` from lo to hi, and every later digit
+        // in full.
+        let k = (0..dims)
+            .rev()
+            .find(|&j| lo[j] != 0 || hi[j] != bounds[j])
+            .unwrap_or(0);
+        let mut digits = lo[..k].to_vec();
+        let mut base: u64 = digits
+            .iter()
+            .zip(&strides)
+            .map(|(&d, &s)| u64::from(d) * s)
+            .sum();
+        let run_lo = u64::from(lo[k]) * strides[k];
+        let run_len = (u64::from(hi[k] - lo[k]) + 1) * strides[k];
+        let mut skip_lo = keep_lo;
+        let mut merge = RunMerge::new(&mut self.ranks);
+        loop {
+            // Mixed-radix indices are rank + 1; index 0 is the excluded all-zero point.
+            let first = (base + run_lo + u64::from(skip_lo)).max(1);
+            let last = base + run_lo + run_len - 1;
+            skip_lo = false;
+            if first <= last {
+                merge.close((first - 1) as u32, (last - 1) as u32);
+            }
+            // Odometer over the prefix digits.
+            let Some(j) = (0..k).rev().find(|&j| digits[j] < hi[j]) else {
+                break;
+            };
+            digits[j] += 1;
+            base += strides[j];
+            for i in j + 1..k {
+                base -= u64::from(digits[i] - lo[i]) * strides[i];
+                digits[i] = lo[i];
+            }
+        }
+        merge.finish();
     }
 
     /// Prunes every point component-wise ≤ `violator` (see [`PruneSet::prune_below`]).
+    ///
+    /// # Panics
+    /// Panics if `violator` does not have the lattice's dimension.
     pub fn prune_below(&mut self, violator: Config) {
-        self.retain(|c| !dominated_by(c, &violator));
+        assert_eq!(
+            violator.len(),
+            self.lattice.dims(),
+            "configuration dimensionality mismatch"
+        );
+        let hi: Vec<u32> = violator
+            .iter()
+            .zip(self.lattice.bounds())
+            .map(|(&v, &b)| v.min(b))
+            .collect();
+        self.close_box(&vec![0; hi.len()], &hi, false);
         self.prune.prune_below(violator);
     }
 
     /// Prunes every point component-wise ≥ `satisfier`, the satisfier itself excepted
     /// (see [`PruneSet::prune_above`]).
+    ///
+    /// # Panics
+    /// Panics if `satisfier` does not have the lattice's dimension.
     pub fn prune_above(&mut self, satisfier: Config) {
-        self.retain(|c| !dominated_by(&satisfier, c) || c == satisfier.as_slice());
+        assert_eq!(
+            satisfier.len(),
+            self.lattice.dims(),
+            "configuration dimensionality mismatch"
+        );
+        if satisfier
+            .iter()
+            .zip(self.lattice.bounds())
+            .all(|(s, b)| s <= b)
+        {
+            let hi = self.lattice.bounds().to_vec();
+            self.close_box(&satisfier, &hi, true);
+        }
         self.prune.prune_above(satisfier);
     }
 
@@ -422,6 +502,54 @@ impl OpenSet {
         self.explored.clear();
         self.prune.clear();
         self.pending.clear();
+    }
+}
+
+/// Removes ascending, disjoint runs of ranks from a sorted rank list in one pass: kept
+/// ranks move down over the removed ones, and each run's boundaries are found by binary
+/// search over the fewest ranks that can lie before them (ranks are distinct).
+struct RunMerge<'a> {
+    ranks: &'a mut Vec<u32>,
+    /// Ranks before `read` are decided; those kept sit before `write`.
+    read: usize,
+    write: usize,
+}
+
+impl<'a> RunMerge<'a> {
+    fn new(ranks: &'a mut Vec<u32>) -> Self {
+        RunMerge {
+            ranks,
+            read: 0,
+            write: 0,
+        }
+    }
+
+    /// Removes the ranks in `first ..= last`, which lies above every earlier run.
+    fn close(&mut self, first: u32, last: u32) {
+        let rest = &self.ranks[self.read..];
+        let Some(&next) = rest.first() else { return };
+        // Distinct ranks: at most `first − next` lie below the run, and at most
+        // `last − first + 1` inside it.
+        let below = &rest[..rest.len().min(first.saturating_sub(next) as usize)];
+        let kept = below.partition_point(|&r| r < first);
+        let after = &rest[kept..];
+        let inside = &after[..after.len().min((u64::from(last - first) + 1) as usize)];
+        let closed = inside.partition_point(|&r| r <= last);
+        if self.write != self.read {
+            self.ranks
+                .copy_within(self.read..self.read + kept, self.write);
+        }
+        self.write += kept;
+        self.read += kept + closed;
+    }
+
+    /// Moves the ranks after the last run down and drops the removed ones.
+    fn finish(self) {
+        let len = self.ranks.len();
+        if self.write != self.read {
+            self.ranks.copy_within(self.read..len, self.write);
+            self.ranks.truncate(self.write + (len - self.read));
+        }
     }
 }
 
@@ -650,7 +778,96 @@ mod tests {
         assert!(!p.is_pruned(&[1, 1]));
     }
 
+    /// A small deterministic generator (64-bit LCG, high bits).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) % u64::from(n)) as u32
+        }
+
+        /// A configuration with every coordinate in `0..=bound + over`.
+        fn config(&mut self, bounds: &[u32], over: u32) -> Config {
+            bounds.iter().map(|&b| self.below(b + over + 1)).collect()
+        }
+    }
+
+    /// `open.ranks()` must equal the ranks of the enumeration filtered by exploration,
+    /// the prune set and flight.
+    fn assert_open_invariant(open: &OpenSet, what: &str) {
+        let expected: Vec<u32> = open
+            .lattice()
+            .enumerate()
+            .into_iter()
+            .filter(|c| {
+                !open.is_explored(c)
+                    && !open.prune_set().is_pruned(c)
+                    && !open.pending().contains(c)
+            })
+            .map(|c| open.lattice().rank(&c).unwrap())
+            .collect();
+        assert_eq!(open.ranks(), expected.as_slice(), "{what}");
+    }
+
+    #[test]
+    fn prunes_close_exactly_their_boxes() {
+        let cases: [(&[u32], &[u32], bool); 8] = [
+            (&[4, 0, 3], &[2, 0, 1], true),
+            (&[4, 0, 3], &[2, 0, 1], false),
+            (&[3, 3], &[3, 3], true),
+            (&[3, 3], &[0, 0], false),
+            (&[3, 3], &[0, 0], true),
+            (&[5], &[2], false),
+            (&[2, 3, 0], &[1, 9, 0], true),
+            (&[2, 2, 2], &[2, 3, 1], false),
+        ];
+        for (bounds, config, below) in cases {
+            let mut open = OpenSet::new(ConfigLattice::new(bounds.to_vec()));
+            if below {
+                open.prune_below(config.to_vec());
+            } else {
+                open.prune_above(config.to_vec());
+            }
+            assert_open_invariant(&open, &format!("{bounds:?} {config:?} below {below}"));
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_open_set_matches_the_enumeration_filter(seed in 0u64..u64::MAX, dims in 1usize..5) {
+            let mut rng = Lcg(seed);
+            // Bounds 0..=4: zero bounds and the empty lattice included.
+            let bounds: Vec<u32> = (0..dims).map(|_| rng.below(5)).collect();
+            let lattice = ConfigLattice::new(bounds.clone());
+            let mut open = OpenSet::new(lattice.clone());
+            for step in 0..24 {
+                let op = rng.below(6);
+                match op {
+                    0 if !lattice.is_empty() => {
+                        let rank = rng.below(lattice.len() as u32);
+                        open.explore(&lattice.config_at(rank));
+                    }
+                    1 => open.prune_below(rng.config(&bounds, 1)),
+                    2 => open.prune_above(rng.config(&bounds, 1)),
+                    3 if !open.is_empty() => {
+                        let rank = open.ranks()[rng.below(open.len() as u32) as usize];
+                        open.take(&lattice.config_at(rank));
+                    }
+                    4 if !open.pending().is_empty() => {
+                        let i = rng.below(open.pending().len() as u32) as usize;
+                        let config = open.pending()[i].clone();
+                        open.forget(&config);
+                    }
+                    _ => {}
+                }
+                assert_open_invariant(&open, &format!("seed {seed}, bounds {bounds:?}, step {step}, op {op}"));
+            }
+        }
+
         #[test]
         fn prop_enumerate_has_no_duplicates(b1 in 1u32..5, b2 in 1u32..5, b3 in 0u32..3) {
             let l = ConfigLattice::new(vec![b1, b2, b3]);

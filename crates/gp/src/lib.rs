@@ -21,4 +21,6 @@ pub mod regression;
 
 pub use fit::{fit_gp, FitConfig, GridFit, IncrementalGridGp};
 pub use kernel::{DotProduct, Kernel, Matern52, RationalQuadratic, Rounded, SquaredExponential};
-pub use regression::{GaussianProcess, GpConfig, GpError, KernelTable, Posterior, PREDICT_LANES};
+pub use regression::{
+    GaussianProcess, GpConfig, GpError, KernelTable, Posterior, RowCursor, RowMeans, PREDICT_LANES,
+};

@@ -143,6 +143,166 @@ pub struct KernelTable {
     values: Vec<f64>,
 }
 
+/// Exact posterior means of one GP over the rows of an integer lattice, from
+/// [`GaussianProcess::row_means`].
+///
+/// A *row* is the set of lattice points that share every coordinate but the last: its
+/// *prefix*. The squared distance from the point `(prefix, v)` to training point `i` is
+/// `Pᵢ + (cᵢ − v)²`, where `cᵢ` is the training point's last coordinate and `Pᵢ` its
+/// squared distance over the prefix coordinates. The table holds every product
+/// `k(Pᵢ + (cᵢ − v)²) · αᵢ`, so the means of a row cost an integer add per training
+/// point and changed prefix coordinate and a float add per training point and point, and
+/// no kernel value or solve. Rows are read through a [`RowCursor`].
+#[derive(Debug, Clone)]
+pub struct RowMeans {
+    /// Inclusive per-dimension bounds of the lattice.
+    bounds: Vec<u32>,
+    /// Number of training points.
+    n: usize,
+    /// `starts[i]`: where training point i's products start, `i · prefix_span · row_len`.
+    starts: Vec<usize>,
+    /// `shares[share_at[j] + q · n + i] = (tᵢⱼ − q)² · row_len` for prefix dimension j
+    /// and coordinate q, so training point i's products for a row start at
+    /// `starts[i] + Σⱼ shares[share_at[j] + prefixⱼ · n + i]`.
+    shares: Vec<usize>,
+    share_at: Vec<usize>,
+    /// `products[starts[i] + P · row_len + v]`: the kernel value at squared distance
+    /// `P + (cᵢ − v)²` times `αᵢ`.
+    products: Vec<f64>,
+    prior_mean: f64,
+}
+
+/// The most points one register-blocked pass of [`RowCursor::means`] sums; the product
+/// table carries this many trailing zeros so a pass may read past its last row.
+const ROW_LANES: usize = 16;
+
+impl RowMeans {
+    /// A cursor over this table's rows, for [`RowCursor::means`]; one per scan worker.
+    pub fn cursor(&self) -> RowCursor<'_> {
+        let prefix_dims = self.bounds.len() - 1;
+        RowCursor {
+            rows: self,
+            prefix: vec![0; prefix_dims],
+            ready: false,
+            partial: vec![0; prefix_dims * self.n],
+        }
+    }
+}
+
+/// A position in a [`RowMeans`] table: every training point's product offset for the last
+/// row asked for, kept so that a row recomputes only the prefix coordinates that changed
+/// since — for consecutive rows, one integer add per training point.
+#[derive(Debug, Clone)]
+pub struct RowCursor<'a> {
+    rows: &'a RowMeans,
+    /// The prefix `partial` holds, once `ready`.
+    prefix: Vec<u32>,
+    ready: bool,
+    /// `partial[j · n + i]`: training point i's product offset over the prefix
+    /// coordinates `..=j`, `starts[i] + Σ_{j' ≤ j} shares`.
+    partial: Vec<usize>,
+}
+
+impl RowCursor<'_> {
+    /// Writes into `out[k]` the posterior mean at the lattice point `(prefix, lasts[k])`:
+    /// bit for bit the `mean` [`GaussianProcess::predict_many`] returns for that point
+    /// with the kernel table the [`RowMeans`] was built from. Each point's sum runs over
+    /// the training points in order from `f64`'s `Sum` start value and adds the prior mean
+    /// last, as `predict_many` does, and each product is the same kernel-table entry at
+    /// the same exact integer squared distance times the same `αᵢ`.
+    ///
+    /// # Panics
+    /// Panics if `prefix` does not hold one coordinate fewer than the lattice, a
+    /// coordinate is outside its bound, or `lasts` and `out` differ in length.
+    pub fn means(&mut self, prefix: &[u32], lasts: &[u32], out: &mut [f64]) {
+        let rows = self.rows;
+        let (n, d) = (rows.n, rows.bounds.len());
+        assert_eq!(prefix.len() + 1, d, "a row prefix has one coordinate fewer");
+        assert!(
+            prefix.iter().zip(&rows.bounds).all(|(p, b)| p <= b),
+            "row prefix {prefix:?} is outside the lattice"
+        );
+        assert!(
+            lasts.iter().all(|&v| v <= rows.bounds[d - 1]),
+            "last coordinates {lasts:?} are outside the lattice"
+        );
+        assert_eq!(lasts.len(), out.len(), "one mean per last coordinate");
+        let unchanged = if self.ready {
+            self.prefix
+                .iter()
+                .zip(prefix)
+                .take_while(|(a, b)| a == b)
+                .count()
+        } else {
+            0
+        };
+        for (j, &q) in prefix.iter().enumerate().skip(unchanged) {
+            let (done, rest) = self.partial.split_at_mut(j * n);
+            let base = if j == 0 {
+                &rows.starts
+            } else {
+                &done[(j - 1) * n..]
+            };
+            let shares = &rows.shares[rows.share_at[j] + q as usize * n..][..n];
+            for ((p, &b), &s) in rest[..n].iter_mut().zip(base).zip(shares) {
+                *p = b + s;
+            }
+        }
+        self.prefix.copy_from_slice(prefix);
+        self.ready = true;
+        let offsets = if d == 1 {
+            &rows.starts[..]
+        } else {
+            &self.partial[(d - 2) * n..]
+        };
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        out.fill(zero);
+        let first = lasts.first().map_or(0, |&v| v as usize);
+        if lasts
+            .iter()
+            .enumerate()
+            .all(|(k, &v)| v as usize == first + k)
+        {
+            // Consecutive points: running sums stay in registers while the training
+            // points stream past, in passes of the narrowest width that fits.
+            for (pass, sums) in out.chunks_mut(ROW_LANES).enumerate() {
+                let v = first + pass * ROW_LANES;
+                match sums.len() {
+                    1..=4 => accumulate::<4>(&rows.products, offsets, v, sums),
+                    5..=8 => accumulate::<8>(&rows.products, offsets, v, sums),
+                    _ => accumulate::<ROW_LANES>(&rows.products, offsets, v, sums),
+                }
+            }
+        } else {
+            for &o in offsets {
+                for (a, &v) in out.iter_mut().zip(lasts) {
+                    *a += rows.products[o + v as usize];
+                }
+            }
+        }
+        for o in out.iter_mut() {
+            *o += rows.prior_mean;
+        }
+    }
+}
+
+/// Adds to `sums[l]`, for every training point in `offsets` in order, its product at
+/// last coordinate `v + l`. The `W` running sums stay in registers; lanes past
+/// `sums.len()` read the products that follow and are dropped.
+fn accumulate<const W: usize>(products: &[f64], offsets: &[usize], v: usize, sums: &mut [f64]) {
+    let mut acc = [0.0; W];
+    acc[..sums.len()].copy_from_slice(sums);
+    for &o in offsets {
+        let row: &[f64; W] = products[o + v..][..W]
+            .try_into()
+            .expect("a slice of W products");
+        for (a, &x) in acc.iter_mut().zip(row) {
+            *a += x;
+        }
+    }
+    sums.copy_from_slice(&acc[..sums.len()]);
+}
+
 /// A fitted exact Gaussian-Process regressor.
 pub struct GaussianProcess<K: Kernel> {
     kernel: K,
@@ -371,6 +531,84 @@ impl<K: Kernel> GaussianProcess<K> {
         self.kernel
             .sq_dist_table(max_sq_dist)
             .map(|values| KernelTable { values })
+    }
+
+    /// The [`RowMeans`] table of this GP over the lattice `{0..=bounds[0]} × … ×
+    /// {0..=bounds[d−1]}`, with kernel values from `table`. `None` when the table would
+    /// hold more than `max_entries` products (`len() · (Σ_{j<d−1} bounds[j]² + 1) ·
+    /// (bounds[d−1] + 1)`), when `table` does not reach the lattice's largest squared
+    /// distance `Σ bounds[j]²`, or when a prepared training coordinate is not an integer
+    /// inside its bound.
+    ///
+    /// The means equal [`GaussianProcess::predict_many`]'s for lattice points the
+    /// kernel prepares to themselves, as [`Rounded`](crate::kernel::Rounded) and
+    /// [`Matern52`](crate::kernel::Matern52) do every integer point.
+    pub fn row_means(
+        &self,
+        table: &KernelTable,
+        bounds: &[u32],
+        max_entries: usize,
+    ) -> Option<RowMeans> {
+        let (&last, prefix_bounds) = bounds.split_last()?;
+        if bounds.len() != self.dim {
+            return None;
+        }
+        let square = |b: u32| u64::from(b) * u64::from(b);
+        let prefix_span = prefix_bounds.iter().map(|&b| square(b)).sum::<u64>() + 1;
+        let row_len = u64::from(last) + 1;
+        if prefix_span - 1 + square(last) >= table.values.len() as u64 {
+            return None;
+        }
+        let entries = (self.len() as u64)
+            .checked_mul(prefix_span)?
+            .checked_mul(row_len)?;
+        if entries > max_entries as u64 {
+            return None;
+        }
+        let mut train = Vec::with_capacity(self.len() * self.dim);
+        for xp in &self.x_prepared {
+            for (&c, &b) in xp.iter().zip(bounds) {
+                if !(is_table_coord(c) && (0.0..=f64::from(b)).contains(&c)) {
+                    return None;
+                }
+                train.push(c as u32);
+            }
+        }
+        // Within the table, so both spans fit in `usize`.
+        let (prefix_span, row_len) = (prefix_span as usize, row_len as usize);
+        let n = self.len();
+        let starts: Vec<usize> = (0..n).map(|i| i * prefix_span * row_len).collect();
+        let mut share_at = Vec::with_capacity(prefix_bounds.len());
+        let mut shares = Vec::new();
+        for (j, &b) in prefix_bounds.iter().enumerate() {
+            share_at.push(shares.len());
+            for q in 0..=b {
+                for point in train.chunks_exact(self.dim) {
+                    let w = point[j].abs_diff(q) as usize;
+                    shares.push(w * w * row_len);
+                }
+            }
+        }
+        let mut products = Vec::with_capacity(entries as usize + ROW_LANES);
+        for (point, &a) in train.chunks_exact(self.dim).zip(&self.alpha) {
+            let c = point[self.dim - 1];
+            for p in 0..prefix_span {
+                for v in 0..row_len as u32 {
+                    let w = c.abs_diff(v) as usize;
+                    products.push(table.values[p + w * w] * a);
+                }
+            }
+        }
+        products.extend([0.0; ROW_LANES]);
+        Some(RowMeans {
+            bounds: bounds.to_vec(),
+            n,
+            starts,
+            shares,
+            share_at,
+            products,
+            prior_mean: self.prior_mean,
+        })
     }
 
     /// Batch prediction: writes into `out[j]` the posterior [`GaussianProcess::predict`]

@@ -1,6 +1,7 @@
 //! Differential tests of the batched posterior path: `GaussianProcess::predict_many`
 //! (eight lanes per pass, kernel values from the integer-distance table when it
-//! engages) must return, bit for bit, the posterior the per-point `predict` returns.
+//! engages) must return, bit for bit, the posterior the per-point `predict` returns, and
+//! `RowCursor::means` the mean `predict_many` returns.
 
 use ribbon_gp::{
     FitConfig, GaussianProcess, GpConfig, GpError, Kernel, Matern52, Posterior, Rounded,
@@ -102,6 +103,116 @@ fn batched_posteriors_equal_per_point_predict_on_random_gps() {
         // A table too small for some distances: those lanes evaluate the kernel instead.
         assert_batch_matches(&gp, &queries, max_sq_dist / 3, true, &what);
     }
+}
+
+#[test]
+fn row_means_equal_predict_many_means() {
+    let grid = FitConfig::default();
+    let mut rng = Lcg(20_261_018);
+    for case in 0..160 {
+        let dims = 1 + case % 8;
+        let n = 1 + rng.below(40) as usize;
+        // Prefix coordinates up to 7 and rows of every length from 1 to 24 points, so
+        // rows take one, two or three register passes.
+        let mut bounds: Vec<u32> = (0..dims).map(|_| rng.below(8) as u32).collect();
+        bounds[dims - 1] = rng.below(24) as u32;
+        let inside = |rng: &mut Lcg| -> Vec<f64> {
+            bounds
+                .iter()
+                .map(|&b| rng.below(u64::from(b) + 1) as f64)
+                .collect()
+        };
+        let mut x: Vec<Vec<f64>> = (0..n).map(|_| inside(&mut rng)).collect();
+        // Every third case: zero noise and duplicated inputs, so the factor is jittered.
+        let jittered = case % 3 == 0;
+        if jittered {
+            x.extend(x.clone());
+        }
+        let y: Vec<f64> = (0..x.len()).map(|_| rng.unit()).collect();
+        let kernel = Rounded::new(Matern52::new(
+            rng.pick(&grid.signal_variances),
+            rng.pick(&grid.length_scales),
+        ));
+        let config = GpConfig {
+            noise_variance: if jittered {
+                0.0
+            } else {
+                rng.pick(&grid.noise_variances)
+            },
+            ..GpConfig::default()
+        };
+        let gp = GaussianProcess::fit(kernel, x, y, config).unwrap();
+        let max_sq_dist: usize = bounds.iter().map(|&b| (b * b) as usize).sum();
+        let table = gp.kernel_table(max_sq_dist).unwrap();
+        let rows = gp.row_means(&table, &bounds, usize::MAX).unwrap();
+        // One cursor for every row of the case: each row changes it from its own first
+        // differing coordinate on.
+        let mut cursor = rows.cursor();
+        let (last, prefix_bounds) = bounds.split_last().unwrap();
+        for _ in 0..6 {
+            let prefix: Vec<u32> = prefix_bounds
+                .iter()
+                .map(|&b| rng.below(u64::from(b) + 1) as u32)
+                .collect();
+            // An ascending subset of the row, with gaps: never empty.
+            let mut lasts: Vec<u32> = (0..=*last).filter(|_| rng.below(3) > 0).collect();
+            if lasts.is_empty() {
+                lasts.push(rng.below(u64::from(*last) + 1) as u32);
+            }
+            let mut means = vec![f64::NAN; lasts.len()];
+            cursor.means(&prefix, &lasts, &mut means);
+            let coords: Vec<f64> = lasts
+                .iter()
+                .flat_map(|&v| prefix.iter().copied().chain([v]).map(f64::from))
+                .collect();
+            let mut posts = vec![
+                Posterior {
+                    mean: f64::NAN,
+                    variance: f64::NAN,
+                };
+                lasts.len()
+            ];
+            gp.predict_many(&coords, Some(&table), &mut posts).unwrap();
+            for ((m, p), v) in means.iter().zip(&posts).zip(&lasts) {
+                assert_eq!(
+                    m.to_bits(),
+                    p.mean.to_bits(),
+                    "case {case}: bounds {bounds:?}, n {n}, point {prefix:?} + {v}: {m} vs {}",
+                    p.mean
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn row_means_refuse_what_they_cannot_index() {
+    let x = vec![vec![1.0, 2.0], vec![3.0, 0.0], vec![0.0, 4.0]];
+    let gp = GaussianProcess::fit(
+        Rounded::new(Matern52::new(1.0, 2.0)),
+        x,
+        vec![0.1, 0.5, 0.3],
+        GpConfig::default(),
+    )
+    .unwrap();
+    let bounds = [3, 4];
+    let table = gp.kernel_table(9 + 16).unwrap();
+    // Three training points × (9 + 1) prefix distances × 5 last coordinates.
+    assert!(gp.row_means(&table, &bounds, 150).is_some(), "at the cap");
+    assert!(gp.row_means(&table, &bounds, 149).is_none(), "over the cap");
+    let short = gp.kernel_table(24).unwrap();
+    assert!(
+        gp.row_means(&short, &bounds, usize::MAX).is_none(),
+        "short table"
+    );
+    assert!(
+        gp.row_means(&table, &[2, 4], usize::MAX).is_none(),
+        "point outside"
+    );
+    assert!(
+        gp.row_means(&table, &[3], usize::MAX).is_none(),
+        "wrong dimension"
+    );
 }
 
 #[test]

@@ -204,7 +204,8 @@ pub struct FleetReport {
 /// Joint lattices beyond this many points skip the BO refinement stage; the
 /// deterministic pooling candidates and the greedy descent carry the search there. The
 /// limit is scan time, not memory: the open set costs 4 bytes per point, but every
-/// acquisition ask scores every open point, so one ask grows linearly with the lattice.
+/// acquisition ask visits every open point — computing its exact mean, and its full
+/// score wherever that can still win — so one ask grows linearly with the lattice.
 pub const JOINT_BO_LATTICE_CAP: u64 = 2_000_000;
 
 /// `true` when the joint lattice spanned by `bounds` is too large for BO refinement:
@@ -453,7 +454,7 @@ impl RibbonFleetPlanner {
     /// no shared families (no warm candidates, no descent) this performs exactly the
     /// operation sequence of [`RibbonSearch::run`] on the member's evaluator.
     ///
-    /// The BO refinement stage scores every open point of the joint lattice on each
+    /// The BO refinement stage visits every open point of the joint lattice on each
     /// ask; past [`JOINT_BO_LATTICE_CAP`] points (or when the count overflows) that scan
     /// time is not tractable, so oversized cross-product spaces skip the BO stage and
     /// the deterministic candidates + descent carry the search alone. The returned flag
