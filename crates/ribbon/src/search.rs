@@ -663,20 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_driver_is_bit_identical_to_the_legacy_loop_at_batch_1() {
-        let ev1 = small_evaluator();
-        let ev2 = small_evaluator();
-        let search = RibbonSearch::new(fast_settings(14));
-        let mut bo_new = search.make_optimizer(&ev1);
-        let mut bo_old = search.make_optimizer(&ev2);
-        let new = search.run_with(&ev1, &mut bo_new, 42);
-        let old = search.run_legacy_with(&ev2, &mut bo_old, 42);
-        assert_eq!(new.evaluations, old.evaluations);
-        assert!(new.estimates.is_empty());
-        assert_eq!(new.fidelity.prefix_evaluations, 0);
-    }
-
-    #[test]
     fn batched_search_stays_within_budget_and_never_repeats() {
         let ev = small_evaluator();
         let mut settings = fast_settings(16);

@@ -652,16 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn random_adapter_at_batch_1_matches_the_legacy_loop() {
-        let ev = small_evaluator();
-        for seed in [0, 5, 9] {
-            let legacy = RandomSearch::new(14).run_search(&ev, seed);
-            let driven = BatchedSearch::new(RandomSearch::new(14)).run_search(&ev, seed);
-            assert_eq!(legacy.evaluations, driven.evaluations, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn random_adapter_respects_dominance_at_any_batch() {
         let ev = small_evaluator();
         let driven = BatchedSearch::new(RandomSearch::new(20))
@@ -671,26 +661,6 @@ mod tests {
         let mut seen = BTreeSet::new();
         for e in driven.evaluations() {
             assert!(seen.insert(e.config.clone()), "duplicate {:?}", e.config);
-        }
-    }
-
-    #[test]
-    fn hill_climb_adapter_at_batch_1_matches_the_legacy_loop() {
-        let ev = small_evaluator();
-        for seed in [2, 3, 9] {
-            let legacy = HillClimbSearch::new(15).run_search(&ev, seed);
-            let driven = BatchedSearch::new(HillClimbSearch::new(15)).run_search(&ev, seed);
-            assert_eq!(legacy.evaluations, driven.evaluations, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn rsm_adapter_at_batch_1_matches_the_legacy_loop() {
-        let ev = small_evaluator();
-        for budget in [5, 20, 40] {
-            let legacy = ResponseSurfaceSearch::new(budget).run_search(&ev, 0);
-            let driven = BatchedSearch::new(ResponseSurfaceSearch::new(budget)).run_search(&ev, 0);
-            assert_eq!(legacy.evaluations, driven.evaluations, "budget {budget}");
         }
     }
 
