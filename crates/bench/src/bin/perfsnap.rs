@@ -6,9 +6,7 @@
 //! 1. **simulate** — one 20 000-query stream on a 40-instance six-type pool: reference
 //!    linear scan vs. event-driven heap vs. the lean stats path;
 //! 2. **evaluate_many** — a 16-configuration batch through the parallel evaluator;
-//! 3. **bo_search** — the 30-evaluation RIBBON search on the ~1.77 M-point lattice
-//!    with the incremental/reused surrogate (pass `--with-baseline` to also time the
-//!    slow from-scratch refit and verify its trace is bit-identical);
+//! 3. **bo_search** — the 30-evaluation RIBBON search on the ~1.77 M-point lattice;
 //! 4. **online_serving** — the flash-crowd online scenario: streaming simulation with
 //!    windowed monitoring and mid-stream controller reconfigurations. The controller's
 //!    decision sequence is pinned as a second golden trace
@@ -45,7 +43,6 @@
 //! perfsnap --check            # also verify the three golden traces (CI mode) and the
 //!                             # fleet trace's shard invariance
 //! perfsnap --bless            # rewrite all three golden trace files
-//! perfsnap --with-baseline    # also time the slow from-scratch bo_search baseline
 //! perfsnap --compare F.json   # diff this run against a prior snapshot; exit 1 when a
 //!                             # hot-path metric regressed by more than 25%
 //! ```
@@ -93,13 +90,6 @@ fn time_ms<F: FnMut()>(runs: usize, mut f: F) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
-}
-
-fn fmt_ms(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:.2}"),
-        None => "null".to_string(),
-    }
 }
 
 /// Blesses and/or checks one golden trace file: on `--bless` rewrites it, on `--check`
@@ -308,7 +298,6 @@ fn compare_snapshots(prior_path: &str, metrics: &[Metric]) -> bool {
 fn main() {
     let mut check = false;
     let mut bless = false;
-    let mut with_baseline = false;
     let mut compare: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -316,7 +305,6 @@ fn main() {
         match arg.as_str() {
             "--check" => check = true,
             "--bless" => bless = true,
-            "--with-baseline" => with_baseline = true,
             "--compare" => match it.next() {
                 Some(path) => compare = Some(path.clone()),
                 None => {
@@ -326,8 +314,8 @@ fn main() {
             },
             unknown => {
                 eprintln!(
-                    "perfsnap: unknown argument {unknown} (expected --check, --bless, \
-                     --with-baseline, and/or --compare <snapshot.json>)"
+                    "perfsnap: unknown argument {unknown} (expected --check, --bless \
+                     and/or --compare <snapshot.json>)"
                 );
                 std::process::exit(2);
             }
@@ -356,34 +344,12 @@ fn main() {
 
     println!("[3/9] bo_search: {HOTPATH_EVALUATIONS}-evaluation RIBBON search ...");
     let t = Instant::now();
-    let incremental_trace = run_hotpath_search(true);
+    let incremental_trace = run_hotpath_search();
     let incremental_ms = ms(t);
     println!(
         "      incremental surrogate: {incremental_ms:.2} ms, {} evaluations",
         incremental_trace.len()
     );
-
-    let baseline_ms = if with_baseline {
-        let t = Instant::now();
-        let baseline_trace = run_hotpath_search(false);
-        let wall = ms(t);
-        println!("      from-scratch surrogate: {wall:.2} ms");
-        assert_eq!(
-            trace_lines(&baseline_trace),
-            trace_lines(&incremental_trace),
-            "BASELINE/INCREMENTAL TRACE DIVERGENCE — the refactor changed search behaviour"
-        );
-        println!(
-            "      traces bit-identical; end-to-end speedup {:.2}x",
-            wall / incremental_ms
-        );
-        Some(wall)
-    } else {
-        println!(
-            "      skipping the from-scratch baseline timing (pass --with-baseline to run it)"
-        );
-        None
-    };
 
     println!(
         "[4/9] online_serving: flash-crowd trace, {ONLINE_DURATION_S:.0} s, seed {ONLINE_SEED} ..."
@@ -715,9 +681,7 @@ fn main() {
     ]
   }},
   "bo_search": {{
-    "baseline_full_refit_ms": {},
     "incremental_ms": {:.2},
-    "speedup": {},
     "pre_pr_baseline": {{
       "commit": "00a9fdb",
       "wall_ms": 125551.0,
@@ -772,9 +736,7 @@ fn main() {
         tiered.total_cost_usd,
         tiered_ms,
         tiered_rows_json.join(",\n"),
-        fmt_ms(baseline_ms),
         incremental_ms,
-        fmt_ms(baseline_ms.map(|b| b / incremental_ms)),
         trace_json.join(",\n"),
     );
     std::fs::write(OUT_PATH, json).expect("write snapshot json");

@@ -1,5 +1,5 @@
-//! The fixed perf-trajectory scenarios shared by the `search_hotpath` Criterion bench and
-//! the `perfsnap` binary (which writes `BENCH_PR9.json`).
+//! The fixed perf-trajectory scenarios shared by the `perfsnap` binary (which writes
+//! `BENCH_PR10.json`), the golden-trace tests and the repository benchmark (`perfbench/`).
 //!
 //! The scenario is deliberately *large* — six instance types, per-type bounds of 10
 //! (a ~1.77 M-point lattice), 20 000-query streams — so the hot paths PR 2 rebuilt
@@ -75,9 +75,7 @@ pub fn hotpath_evaluator() -> ConfigEvaluator {
 
 /// The hot-path search as a declarative scenario spec — the programmatic twin of
 /// `scenarios/mtwnd_hotpath_search.toml` (a test pins the two compiling identically).
-/// `reuse_surrogate = false` selects the from-scratch baseline (identical traces either
-/// way).
-pub fn hotpath_spec(reuse_surrogate: bool) -> ScenarioSpec {
+pub fn hotpath_spec() -> ScenarioSpec {
     ScenarioSpec {
         name: "mtwnd-hotpath-search".to_string(),
         description: "Six-type MT-WND hot-path search (the pinned golden-trace scenario)"
@@ -97,7 +95,6 @@ pub fn hotpath_spec(reuse_surrogate: bool) -> ScenarioSpec {
             name: "ribbon".to_string(),
             budget: HOTPATH_EVALUATIONS,
             baseline: false,
-            reuse_surrogate: Some(reuse_surrogate),
             ..Default::default()
         },
         evaluator: EvaluatorSpec {
@@ -112,8 +109,8 @@ pub fn hotpath_spec(reuse_surrogate: bool) -> ScenarioSpec {
 /// Runs the hot-path search through the scenario façade (fresh evaluator per run, so the
 /// evaluation cache of a previous run cannot subsidize the measured one) and returns its
 /// trace.
-pub fn run_hotpath_search(reuse_surrogate: bool) -> SearchTrace {
-    let scenario = hotpath_spec(reuse_surrogate)
+pub fn run_hotpath_search() -> SearchTrace {
+    let scenario = hotpath_spec()
         .compile()
         .expect("the hot-path spec compiles");
     let report = scenario.run().expect("the hot-path search runs");
@@ -131,7 +128,7 @@ pub const BATCHED_SEARCH_FIDELITY: f64 = 0.25;
 /// `[planner] batch` and `[planner] fidelity` set — the PR 7 tentpole configuration the
 /// `batched_search` snapshot section times against the one-at-a-time `bo_search` path.
 pub fn batched_hotpath_spec() -> ScenarioSpec {
-    let mut spec = hotpath_spec(true);
+    let mut spec = hotpath_spec();
     spec.name = "mtwnd-hotpath-batched".to_string();
     spec.description =
         "Six-type MT-WND hot-path search with batched asks and successive halving".to_string();
@@ -655,7 +652,7 @@ mod tests {
 
     #[test]
     fn hotpath_spec_compiles_to_the_historical_constructor_arguments() {
-        let scenario = hotpath_spec(true).compile().unwrap();
+        let scenario = hotpath_spec().compile().unwrap();
         assert_eq!(scenario.workload, hotpath_workload());
         assert_eq!(
             scenario.evaluator_settings.explicit_bounds,
@@ -665,15 +662,7 @@ mod tests {
             scenario.search_settings.max_evaluations,
             HOTPATH_EVALUATIONS
         );
-        assert!(scenario.search_settings.reuse_surrogate);
         assert_eq!(scenario.spec.seed, HOTPATH_SEED);
-        assert!(
-            !hotpath_spec(false)
-                .compile()
-                .unwrap()
-                .search_settings
-                .reuse_surrogate
-        );
     }
 
     #[test]

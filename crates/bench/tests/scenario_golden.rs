@@ -29,7 +29,7 @@ fn load(rel: &str) -> Scenario {
 #[test]
 fn bundled_hotpath_scenario_is_the_perf_harness_twin() {
     let from_file = load("scenarios/mtwnd_hotpath_search.toml");
-    let programmatic = hotpath_spec(true).compile().unwrap();
+    let programmatic = hotpath_spec().compile().unwrap();
     assert_eq!(from_file.workload, programmatic.workload);
     assert_eq!(
         from_file.evaluator_settings,
@@ -42,10 +42,6 @@ fn bundled_hotpath_scenario_is_the_perf_harness_twin() {
     assert_eq!(
         from_file.search_settings.fit,
         programmatic.search_settings.fit
-    );
-    assert_eq!(
-        from_file.search_settings.reuse_surrogate,
-        programmatic.search_settings.reuse_surrogate
     );
     assert_eq!(from_file.spec.seed, programmatic.spec.seed);
     assert_eq!(
@@ -89,7 +85,7 @@ fn facade_search_reproduces_the_golden_trace_bit_for_bit() {
     let golden_path = repo_root().join("crates/bench/golden/search_trace.txt");
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
-    let trace = run_hotpath_search(true);
+    let trace = run_hotpath_search();
     assert_eq!(trace.len(), HOTPATH_EVALUATIONS);
     let lines = trace_lines(&trace);
     assert_eq!(

@@ -20,7 +20,7 @@
 //! # Ask/tell lifecycle
 //!
 //! One full search is a loop of *ask a batch → evaluate it (in parallel) → tell each
-//! result*. With `q = 1` the GP engine consumes its RNG exactly like the historical
+//! result*. With `q = 1` the GP engine consumes its RNG exactly like a
 //! `suggest`/`observe` loop, so traces are bit-identical; larger `q` trades per-candidate
 //! model updates for batched acquisition scans:
 //!
@@ -63,8 +63,8 @@
 //! # Ok::<(), ribbon_bo::BoError>(())
 //! ```
 //!
-//! The legacy one-at-a-time loop is exactly `ask(rng, 1)` + `tell`, which the `ribbon`
-//! crate's differential suite pins bit-for-bit against `suggest`/`observe`.
+//! The one-at-a-time loop is exactly `ask(rng, 1)` + `tell`; the `ribbon` crate's
+//! differential suite pins its traces as literals.
 
 use crate::optimizer::BoError;
 use crate::space::Config;

@@ -1,21 +1,22 @@
-//! The BO suggest/observe loop over the configuration lattice.
+//! The BO engine over the configuration lattice, asked and told through
+//! [`crate::Optimizer`].
 //!
-//! Usage pattern (the `ribbon` crate drives this):
+//! Usage pattern (the `ribbon` crate's search driver runs this loop):
 //!
 //! ```text
 //! loop {
-//!     let suggestion = optimizer.suggest(&mut rng)?;
-//!     let value = evaluate(&suggestion.config);            // deploy & measure (simulated)
-//!     optimizer.observe(suggestion.config, value)?;
-//!     optimizer.prune_below(...) / prune_above(...)        // Ribbon's active pruning
+//!     let batch = optimizer.ask_batch(&mut rng, q)?;      // q = 1: one suggestion
+//!     for config in batch {
+//!         let value = evaluate(&config);                   // deploy & measure (simulated)
+//!         // Record the value, then apply Ribbon's active pruning.
+//!         optimizer.tell(Outcome::new(config, value).with_prunes(below, above))?;
+//!     }
 //! }
 //! ```
 //!
 //! # Hot-path structure
 //!
-//! The per-`suggest` costs are kept incremental or batched (with the historical
-//! from-scratch behaviour preserved behind [`BoSettings::reuse_surrogate`] `= false` as a
-//! differential oracle):
+//! The per-ask costs are kept incremental or batched:
 //!
 //! * the **open set** ([`OpenSet`]: un-explored, un-pruned lattice points) is a sorted
 //!   `Vec<u32>` of lattice ranks maintained across calls — observations remove one rank,
@@ -38,17 +39,19 @@
 //!   batched ask needs every score and scans in full.
 //!
 //! All are exact optimizations: suggestions, RNG consumption and the suggested point's
-//! score are bit-identical to the from-scratch path (see `tests/incremental_gp.rs` and
-//! `tests/scan_skip.rs`); the single suggestion never scores the points it skips, and
-//! the batched ask's scores are bit-identical too.
+//! score are bit-identical to refitting the whole grid from scratch and scoring every
+//! open point with the single-point `predict` (`tests/incremental_gp.rs` pins the
+//! traces that refit produced, `tests/scan_skip.rs` checks the scan against per-point
+//! `predict`); the single suggestion never scores the points it skips, and the batched
+//! ask's scores are bit-identical too.
 
 use crate::acquisition::Acquisition;
 use crate::ask_tell::{Optimizer, Outcome};
 use crate::space::{Config, ConfigLattice, OpenSet, PruneSet, RankDecoder};
 use rand::{Rng, RngCore};
 use ribbon_gp::{
-    fit_gp, FitConfig, GaussianProcess, GpError, IncrementalGridGp, KernelTable, Matern52,
-    Posterior, Rounded, RowCursor,
+    FitConfig, GaussianProcess, GpError, IncrementalGridGp, KernelTable, Matern52, Posterior,
+    Rounded, RowCursor,
 };
 use std::fmt;
 
@@ -91,18 +94,11 @@ pub struct BoSettings {
     pub initial_samples: usize,
     /// Acquisition function to maximize.
     pub acquisition: Acquisition,
-    /// Hyperparameter grid for the GP refit.
+    /// Hyperparameter grid of the GP surrogate.
     pub fit: FitConfig,
-    /// Reuse the fitted surrogate across `suggest` calls, folding new observations in
-    /// incrementally (the default). `false` refits the full hyperparameter grid from
-    /// scratch on every call — the historical behaviour, kept as the differential oracle
-    /// and the measurable "before" in the perf-trajectory harness. Both settings produce
-    /// bit-identical suggestions.
-    pub reuse_surrogate: bool,
     /// Worker threads for the acquisition scan over the open candidates (`None` = the
     /// machine's available parallelism). The scan's chunked, order-reduced design makes
-    /// the suggestion identical for every thread count; the from-scratch baseline path
-    /// always scans serially, as the historical code did.
+    /// the suggestion identical for every thread count.
     pub scan_threads: Option<usize>,
 }
 
@@ -112,7 +108,6 @@ impl Default for BoSettings {
             initial_samples: 3,
             acquisition: Acquisition::default(),
             fit: FitConfig::default(),
-            reuse_surrogate: true,
             scan_threads: None,
         }
     }
@@ -174,7 +169,7 @@ pub struct BoOptimizer {
     /// Un-explored, un-pruned, not-in-flight lattice points, maintained incrementally so
     /// `suggest` never re-enumerates the lattice.
     open: OpenSet,
-    /// Cached incremental surrogate (when `settings.reuse_surrogate`) and the number of
+    /// Incremental surrogate, fitted at the first acquisition ask, and the number of
     /// observations already folded into it.
     surrogate: Option<IncrementalGridGp>,
     fitted_upto: usize,
@@ -273,10 +268,9 @@ impl BoOptimizer {
         self.open.ranks()
     }
 
-    /// Brings the cached incremental surrogate up to date with the observation history.
-    /// Returns `false` (after discarding the cache) when the surrogate cannot be (re)built,
-    /// which `suggest` translates into the random fallback — exactly how a `fit_gp` failure
-    /// is handled on the from-scratch path.
+    /// Brings the incremental surrogate up to date with the observation history.
+    /// Returns `false` (after discarding it) when the surrogate cannot be (re)built,
+    /// which `suggest` and `ask_batch` translate into the random fallback.
     fn refresh_surrogate(&mut self) -> bool {
         if self.surrogate.is_none() {
             let x: Vec<Vec<f64>> = self
@@ -413,9 +407,9 @@ impl BoOptimizer {
     }
 
     /// Maximizes the acquisition function over the open set: the first candidate in
-    /// enumeration order attaining the maximum score, exactly as the serial from-scratch
-    /// scan picks it — each chunk keeps its first strictly-better score and the chunk
-    /// winners are reduced in chunk order by the same rule.
+    /// enumeration order attaining the maximum score, exactly as a serial scan picks it —
+    /// each chunk keeps its first strictly-better score and the chunk winners are reduced
+    /// in chunk order by the same rule.
     ///
     /// When the surrogate has a kernel table and the open set holds more points than its
     /// [`RowMeans`](ribbon_gp::RowMeans) table (at most [`MAX_ROW_TABLE`] products), the
@@ -471,46 +465,6 @@ impl BoOptimizer {
             .concat())
     }
 
-    /// One full iteration of the historical (pre-incremental) hot path, kept as the
-    /// measurable baseline and differential oracle: re-enumerate and re-filter the entire
-    /// lattice, refit the whole hyperparameter grid from scratch, and score candidates
-    /// through the allocating single-point `predict`. Returns `Ok(None)` when the grid
-    /// fit fails (the caller falls back to a random suggestion, as the historical code
-    /// did).
-    fn suggest_from_scratch(&self, incumbent: f64) -> Result<Option<Suggestion>, BoError> {
-        let open: Vec<Config> = self
-            .lattice()
-            .enumerate()
-            .into_iter()
-            .filter(|c| !self.open.is_explored(c) && !self.open.prune_set().is_pruned(c))
-            .collect();
-        let x: Vec<Vec<f64>> = self
-            .observations
-            .iter()
-            .map(|o| ConfigLattice::to_coords(&o.config))
-            .collect();
-        let y: Vec<f64> = self.observations.iter().map(|o| o.value).collect();
-        let fitted = match fit_gp(&x, &y, &self.settings.fit) {
-            Ok(f) => f,
-            Err(_) => return Ok(None),
-        };
-        let mut best_cfg: Option<(Config, f64)> = None;
-        for cfg in open {
-            let coords = ConfigLattice::to_coords(&cfg);
-            let posterior = fitted.gp.predict(&coords)?;
-            let score = self.settings.acquisition.score(&posterior, incumbent);
-            match &best_cfg {
-                Some((_, s)) if *s >= score => {}
-                _ => best_cfg = Some((cfg, score)),
-            }
-        }
-        let (config, score) = best_cfg.ok_or(BoError::SpaceExhausted)?;
-        Ok(Some(Suggestion {
-            config,
-            source: SuggestionSource::Acquisition { score },
-        }))
-    }
-
     /// A uniformly random open configuration: the first entry of one shuffle of the open
     /// set (it stays open).
     fn random_open(&self, rng: &mut dyn RngCore) -> Config {
@@ -520,10 +474,10 @@ impl BoOptimizer {
     /// Suggests the next configuration to evaluate.
     ///
     /// During the initialization phase (fewer than `initial_samples` real evaluations) the
-    /// suggestion is a uniformly random open configuration. Afterwards the surrogate is
-    /// brought up to date — incrementally when [`BoSettings::reuse_surrogate`] is set, by a
-    /// full grid refit otherwise — and the acquisition function is maximized over the open
-    /// candidates. Both modes produce bit-identical suggestions and RNG consumption.
+    /// suggestion is a uniformly random open configuration. Afterwards the incremental
+    /// surrogate folds in the new observations and the acquisition function is maximized
+    /// over the open candidates; a surrogate that cannot be fitted falls back to a random
+    /// open configuration.
     pub fn suggest<R: Rng>(&mut self, rng: &mut R) -> Result<Suggestion, BoError> {
         if self.open.is_empty() {
             return Err(BoError::SpaceExhausted);
@@ -538,14 +492,10 @@ impl BoOptimizer {
         }
 
         let incumbent = self.incumbent();
-        if self.settings.reuse_surrogate {
-            if self.refresh_surrogate() {
-                if let Some(fit) = self.surrogate.as_ref().and_then(|s| s.best()) {
-                    return self.scan_open(fit.gp, incumbent);
-                }
+        if self.refresh_surrogate() {
+            if let Some(fit) = self.surrogate.as_ref().and_then(|s| s.best()) {
+                return self.scan_open(fit.gp, incumbent);
             }
-        } else if let Some(suggestion) = self.suggest_from_scratch(incumbent)? {
-            return Ok(suggestion);
         }
 
         // Surrogate unavailable: fall back to a random open configuration.
@@ -566,7 +516,7 @@ impl BoOptimizer {
 
     // ---------------------------------------------------------------------------------
     // Ask/tell interface (see `crate::ask_tell`). `ask(rng, 1)` is `suggest` plus
-    // in-flight bookkeeping — same RNG consumption, same candidate, bit for bit.
+    // in-flight bookkeeping: same RNG consumption, same candidate.
     // ---------------------------------------------------------------------------------
 
     /// Candidates asked but not yet told or forgotten.
@@ -628,8 +578,8 @@ impl BoOptimizer {
 
     /// Returns up to `q` distinct candidates (see [`Optimizer::ask`]).
     ///
-    /// `q = 1` delegates to [`BoOptimizer::suggest`] — candidate and RNG consumption are
-    /// bit-identical to the historical loop. Larger `q`: the initialization and
+    /// `q = 1` is [`BoOptimizer::suggest`] with the candidate moved into flight: the
+    /// same candidate and RNG consumption. Larger `q`: the initialization and
     /// random-fallback phases draw the whole batch from **one** shuffle; the acquisition
     /// phase refreshes the surrogate once, scores every open candidate in one chunked
     /// parallel scan, and picks a diverse batch by greedy local penalization.
@@ -650,54 +600,24 @@ impl BoOptimizer {
         }
 
         let incumbent = self.incumbent();
-        let scores = if self.settings.reuse_surrogate {
-            if self.refresh_surrogate() {
-                match self.surrogate.as_ref().and_then(|s| s.best()) {
-                    Some(fit) => Some(self.scan_scores(fit.gp, incumbent)?),
-                    None => None,
-                }
-            } else {
-                None
-            }
+        let fit = if self.refresh_surrogate() {
+            self.surrogate.as_ref().and_then(|s| s.best())
         } else {
-            self.scan_scores_from_scratch(incumbent)?
+            None
         };
-
-        let Some(scores) = scores else {
+        let Some(fit) = fit else {
             // Surrogate unavailable: fall back to one shuffled random batch.
             return Ok(self.open.random_batch(rng, q));
         };
+        let scores = self.scan_scores(fit.gp, incumbent)?;
         let picks = self.penalized_picks(&scores, q);
         Ok(self.open.take_positions(&picks))
     }
 
-    /// From-scratch scores for the batched ask when `reuse_surrogate` is off (the
-    /// differential-oracle configuration): one fresh grid fit, then a serial scan.
-    fn scan_scores_from_scratch(&self, incumbent: f64) -> Result<Option<Vec<f64>>, BoError> {
-        let x: Vec<Vec<f64>> = self
-            .observations
-            .iter()
-            .map(|o| ConfigLattice::to_coords(&o.config))
-            .collect();
-        let y: Vec<f64> = self.observations.iter().map(|o| o.value).collect();
-        let fitted = match fit_gp(&x, &y, &self.settings.fit) {
-            Ok(f) => f,
-            Err(_) => return Ok(None),
-        };
-        let mut scores = Vec::with_capacity(self.open.len());
-        for &rank in self.open.ranks() {
-            let coords = ConfigLattice::to_coords(&self.lattice().config_at(rank));
-            let posterior = fitted.gp.predict(&coords)?;
-            scores.push(self.settings.acquisition.score(&posterior, incumbent));
-        }
-        Ok(Some(scores))
-    }
-
     /// Ingests one completed evaluation (see [`Optimizer::tell`]).
     ///
-    /// Mirrors the historical record-then-prune sequence exactly: the observation is
-    /// recorded (invalid configurations and non-finite values are dropped, as the legacy
-    /// `let _ = observe(..)` call sites did), then the pruning verdicts are applied.
+    /// Records the observation (invalid configurations and non-finite values are
+    /// dropped), then applies the pruning verdicts.
     ///
     /// Estimated outcomes (reduced-fidelity prefix scores) retire the configuration —
     /// it is settled if in flight and never asked again — but stay **out of the GP**:

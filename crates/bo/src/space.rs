@@ -99,6 +99,12 @@ impl ConfigLattice {
             && config.iter().any(|&c| c > 0)
     }
 
+    /// Every rank, ascending: the lattice in enumeration order, 4 bytes a point.
+    pub fn ranks(&self) -> impl Iterator<Item = u32> {
+        // `ConfigLattice::new` keeps the point count within the u32 rank range.
+        (0..self.len).map(|r| r as u32)
+    }
+
     /// The rank of `config` (its index in [`ConfigLattice::enumerate`] order), or `None`
     /// when the lattice does not contain it.
     pub fn rank(&self, config: &[u32]) -> Option<u32> {
@@ -126,6 +132,8 @@ impl ConfigLattice {
     }
 
     /// Enumerates every valid configuration (excluding all-zero) in lexicographic order.
+    /// This allocates every point; the searches walk [`ConfigLattice::ranks`] instead, and
+    /// tests use this as the oracle for rank order.
     pub fn enumerate(&self) -> Vec<Config> {
         let mut out = Vec::with_capacity(self.len());
         let mut current = vec![0u32; self.bounds.len()];
@@ -264,17 +272,12 @@ impl OpenSet {
     /// The whole lattice open: nothing explored, pruned or in flight.
     pub fn new(lattice: ConfigLattice) -> Self {
         OpenSet {
-            ranks: Self::all_ranks(&lattice),
+            ranks: lattice.ranks().collect(),
             lattice,
             explored: BTreeSet::new(),
             prune: PruneSet::new(),
             pending: Vec::new(),
         }
-    }
-
-    fn all_ranks(lattice: &ConfigLattice) -> Vec<u32> {
-        // `ConfigLattice::new` keeps the count within the u32 rank range.
-        (0..lattice.len()).map(|r| r as u32).collect()
     }
 
     /// The search lattice.
@@ -498,7 +501,7 @@ impl OpenSet {
 
     /// Reopens the whole lattice and clears the exploration, pruning and flight state.
     pub fn reset(&mut self) {
-        self.ranks = Self::all_ranks(&self.lattice);
+        self.ranks = self.lattice.ranks().collect();
         self.explored.clear();
         self.prune.clear();
         self.pending.clear();

@@ -197,7 +197,6 @@ impl FleetSpec {
             acquisition: defaults.acquisition,
             fit: FitConfig::coarse(),
             start_config: None,
-            reuse_surrogate: defaults.reuse_surrogate,
             scan_threads: None,
             batch: self.batch.unwrap_or(defaults.batch),
             fidelity: defaults.fidelity,

@@ -476,7 +476,6 @@ impl RibbonFleetPlanner {
                     initial_samples: settings.initial_samples,
                     acquisition: settings.acquisition,
                     fit: settings.fit.clone(),
-                    reuse_surrogate: settings.reuse_surrogate,
                     scan_threads: settings.scan_threads,
                 },
             )

@@ -492,7 +492,6 @@ impl ScenarioSpec {
             acquisition: defaults.acquisition,
             fit,
             start_config: p.start_config.clone(),
-            reuse_surrogate: p.reuse_surrogate.unwrap_or(defaults.reuse_surrogate),
             scan_threads: p.scan_threads,
             batch: p.batch.unwrap_or(defaults.batch),
             fidelity: p.fidelity.or(defaults.fidelity),

@@ -18,8 +18,8 @@ use crate::evaluator::ConfigEvaluator;
 use crate::online::{serve_from, OnlineController};
 use crate::search::{RibbonSearch, SearchTrace};
 use crate::strategies::{
-    AskTellStrategy, BatchedSearch, ExhaustiveSearch, HillClimbSearch, RandomSearch,
-    ResponseSurfaceSearch, SearchStrategy, TpeSearch,
+    ExhaustiveSearch, HillClimbSearch, RandomSearch, ResponseSurfaceSearch, SearchStrategy,
+    TpeSearch, DEFAULT_ASK_CHUNK,
 };
 use ribbon_cloudsim::streaming::{StreamingSim, StreamingSimConfig};
 use ribbon_cloudsim::{CostModel, PhasedQueryStream};
@@ -321,44 +321,46 @@ impl Planner for SearchPlanner {
 
 /// Builds the planner a name refers to, sized by the scenario's budget.
 ///
-/// `ribbon` and `tpe` always run through the ask/tell [`crate::search::SearchDriver`]
-/// (their default `batch = 1` reproduces the historical traces bit for bit). The
-/// baselines keep their legacy loops unless the scenario sets an explicit
-/// `[planner] batch`, in which case they run through the driver via their
-/// [`AskTellStrategy`] adapters.
+/// Every planner runs through the ask/tell [`crate::search::SearchDriver`]. `[planner]
+/// batch` sets the candidates asked per round; unset, `ribbon` and `tpe` ask one at a
+/// time and the baselines ask [`DEFAULT_ASK_CHUNK`] (their traces do not depend on the
+/// width). `[planner] fidelity` screens asked batches, so it takes effect only with an
+/// explicit `batch`: no trace depends on the core count.
 pub fn planner_by_name(name: &str, scenario: &Scenario) -> Result<Box<dyn Planner>, ScenarioError> {
     let budget = scenario.search_settings.max_evaluations;
     let batch = scenario.spec.planner.batch;
-    let fidelity = scenario.spec.planner.fidelity;
-    fn baseline<S: AskTellStrategy + Send + Sync + 'static>(
-        strategy: S,
-        batch: Option<usize>,
-        fidelity: Option<f64>,
-    ) -> Box<dyn Planner> {
-        match batch {
-            Some(q) => Box::new(SearchPlanner::new(Box::new(
-                BatchedSearch::new(strategy)
-                    .with_batch(q)
-                    .with_fidelity(fidelity),
-            ))),
-            None => Box::new(SearchPlanner::new(Box::new(strategy))),
-        }
-    }
+    let fidelity = batch.and(scenario.spec.planner.fidelity);
+    let chunk = batch.unwrap_or(DEFAULT_ASK_CHUNK);
+    let search = |strategy: Box<dyn SearchStrategy + Send + Sync>| -> Box<dyn Planner> {
+        Box::new(SearchPlanner::new(strategy))
+    };
     match name.to_ascii_lowercase().as_str() {
         "ribbon" => Ok(Box::new(RibbonPlanner)),
-        "tpe" => Ok(Box::new(SearchPlanner::new(Box::new(
+        "tpe" => Ok(search(Box::new(
             TpeSearch::new(budget)
                 .with_batch(batch.unwrap_or(1))
                 .with_fidelity(fidelity),
-        )))),
-        "random" => Ok(baseline(RandomSearch::new(budget), batch, fidelity)),
-        "hill-climb" => Ok(baseline(HillClimbSearch::new(budget), batch, fidelity)),
-        "rsm" => Ok(baseline(
-            ResponseSurfaceSearch::new(budget),
-            batch,
-            fidelity,
-        )),
-        "exhaustive" => Ok(baseline(ExhaustiveSearch::default(), batch, fidelity)),
+        ))),
+        "random" => Ok(search(Box::new(
+            RandomSearch::new(budget)
+                .with_batch(chunk)
+                .with_fidelity(fidelity),
+        ))),
+        "hill-climb" => Ok(search(Box::new(
+            HillClimbSearch::new(budget)
+                .with_batch(chunk)
+                .with_fidelity(fidelity),
+        ))),
+        "rsm" => Ok(search(Box::new(
+            ResponseSurfaceSearch::new(budget)
+                .with_batch(chunk)
+                .with_fidelity(fidelity),
+        ))),
+        "exhaustive" => Ok(search(Box::new(
+            ExhaustiveSearch::full()
+                .with_batch(chunk)
+                .with_fidelity(fidelity),
+        ))),
         other => Err(ScenarioError::invalid(
             "planner.name",
             format!(

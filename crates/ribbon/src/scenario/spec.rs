@@ -134,15 +134,16 @@ pub struct PlannerSpec {
     pub prune_threshold: Option<f64>,
     /// GP hyperparameter grid: `"coarse"` (default) or `"full"`.
     pub fit: Option<String>,
-    /// Reuse the GP surrogate incrementally across iterations (RIBBON).
-    pub reuse_surrogate: Option<bool>,
     /// Worker threads for the BO acquisition scan (RIBBON).
     pub scan_threads: Option<usize>,
     /// Starting configuration evaluated before the BO loop (RIBBON).
     pub start_config: Option<Vec<u32>>,
-    /// Candidates asked per optimizer round (`q`); batches evaluate in parallel.
+    /// Candidates asked per optimizer round (`q`); batches evaluate in parallel. Unset,
+    /// `ribbon` and `tpe` ask one at a time and the baselines
+    /// [`crate::strategies::DEFAULT_ASK_CHUNK`] (their traces do not depend on it).
     pub batch: Option<usize>,
     /// Successive-halving prefix fraction in `(0, 1)`; unset disables multi-fidelity.
+    /// It screens asked batches, so it takes effect only with an explicit `batch` above 1.
     pub fidelity: Option<f64>,
 }
 
@@ -155,7 +156,6 @@ impl Default for PlannerSpec {
             initial_samples: None,
             prune_threshold: None,
             fit: None,
-            reuse_surrogate: None,
             scan_threads: None,
             start_config: None,
             batch: None,
@@ -660,7 +660,6 @@ impl ScenarioSpec {
                 "initial_samples",
                 "prune_threshold",
                 "fit",
-                "reuse_surrogate",
                 "scan_threads",
                 "start_config",
                 "batch",
@@ -675,7 +674,6 @@ impl ScenarioSpec {
             initial_samples: opt_usize(t, "planner", "initial_samples")?,
             prune_threshold: opt_f64(t, "planner", "prune_threshold")?,
             fit: opt_str(t, "planner", "fit")?,
-            reuse_surrogate: opt_bool(t, "planner", "reuse_surrogate")?,
             scan_threads: opt_usize(t, "planner", "scan_threads")?,
             start_config: opt_u32_list(t, "planner", "start_config")?,
             batch: opt_usize(t, "planner", "batch")?,
@@ -935,7 +933,6 @@ impl ScenarioSpec {
         put(&mut pt, "initial_samples", p.initial_samples);
         put(&mut pt, "prune_threshold", p.prune_threshold);
         put(&mut pt, "fit", p.fit.as_deref());
-        put(&mut pt, "reuse_surrogate", p.reuse_surrogate);
         put(&mut pt, "scan_threads", p.scan_threads);
         put(
             &mut pt,

@@ -1,7 +1,7 @@
 //! Ribbon's BO-driven search for the optimal diverse-pool configuration.
 //!
 //! The loop implements Sec. 4 of the paper: a Gaussian-Process surrogate (Matérn 5/2 with the
-//! integer rounding kernel) is refitted after every evaluation, Expected Improvement picks the
+//! integer rounding kernel) is updated with every evaluation, Expected Improvement picks the
 //! next configuration among those not yet explored and not pruned, and *active pruning*
 //! removes (a) the entire dominated box under any configuration that violates QoS by more than
 //! a threshold θ and (b) the dominating box above any QoS-satisfying configuration (which can
@@ -9,12 +9,14 @@
 //!
 //! # The ask/tell search driver
 //!
-//! [`SearchDriver`] runs any [`ribbon_bo::Optimizer`] (the GP engine, TPE, or a baseline
-//! adapter) against a [`ConfigEvaluator`]: it asks for a batch of up to `batch` candidates,
-//! pipelines the batch into the parallel [`ConfigEvaluator::evaluate_many`], and tells each
-//! completed evaluation back. With `batch = 1` the loop is bit-identical to the historical
-//! one-suggestion-at-a-time loop (pinned by the `ask_tell_differential` suite); larger
-//! batches amortize the acquisition scan over several evaluations.
+//! [`SearchDriver`] is the one search loop: every strategy — the GP engine, TPE and the
+//! baselines' adapters — runs its [`ribbon_bo::Optimizer`] through it against a
+//! [`ConfigEvaluator`]. It asks for a batch of up to `batch` candidates, pipelines the
+//! batch into the parallel [`ConfigEvaluator::evaluate_many`], and tells each completed
+//! evaluation back. RIBBON and TPE ask one candidate at a time by default (their traces
+//! are pinned by the `ask_tell_differential` suite); larger batches amortize the
+//! acquisition scan over several evaluations. The baselines' traces do not depend on
+//! the batch size at all, so they ask in chunks.
 //!
 //! With a `fidelity` fraction set the driver adds **multi-fidelity successive halving**:
 //! each asked batch is first scored on a prefix of the query stream (the evaluator's
@@ -29,7 +31,7 @@
 use crate::evaluator::{BatchEvaluator, Evaluation};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use ribbon_bo::{Acquisition, BoError, BoOptimizer, BoSettings, Optimizer, Outcome};
+use ribbon_bo::{Acquisition, BoOptimizer, BoSettings, Optimizer, Outcome};
 use ribbon_gp::FitConfig;
 use serde::{Deserialize, Serialize};
 
@@ -50,17 +52,12 @@ pub struct RibbonSettings {
     /// Optional starting configuration evaluated before the BO loop (the paper's search
     /// starts from the currently deployed configuration).
     pub start_config: Option<Vec<u32>>,
-    /// Reuse the GP surrogate incrementally across iterations (see
-    /// [`ribbon_bo::BoSettings::reuse_surrogate`]); `false` restores the historical
-    /// refit-everything-per-iteration behaviour, which produces bit-identical traces and is
-    /// kept as the measurable baseline for the perf-trajectory harness.
-    pub reuse_surrogate: bool,
     /// Worker threads for the BO acquisition scan (`None` = available parallelism); the
     /// suggested configurations are identical for every thread count.
     pub scan_threads: Option<usize>,
-    /// Candidates asked per ask/tell round (`1` = the historical one-at-a-time loop,
-    /// bit-identical to the committed golden traces; larger values amortize the
-    /// acquisition scan over a diverse batch evaluated in parallel).
+    /// Candidates asked per ask/tell round (`1` = one at a time, the setting the committed
+    /// golden traces pin; larger values amortize the acquisition scan over a diverse
+    /// batch evaluated in parallel).
     #[serde(default)]
     pub batch: usize,
     /// Optional multi-fidelity fraction in `(0, 1)`: asked batches are first scored on
@@ -79,7 +76,6 @@ impl Default for RibbonSettings {
             acquisition: Acquisition::default(),
             fit: FitConfig::default(),
             start_config: None,
-            reuse_surrogate: true,
             scan_threads: None,
             batch: 1,
             fidelity: None,
@@ -218,7 +214,8 @@ impl SearchTrace {
     }
 }
 
-/// Budget-aware ask/tell search loop over one evaluator (see the module docs).
+/// Budget-aware ask/tell search loop over one evaluator: the only search loop (see the
+/// module docs).
 ///
 /// The driver owns the three mechanical concerns every strategy shares — batching,
 /// parallel evaluation, and multi-fidelity promotion — while the [`Optimizer`] owns *what*
@@ -231,7 +228,7 @@ pub struct SearchDriver<'a> {
 }
 
 impl<'a> SearchDriver<'a> {
-    /// A driver with the historical one-at-a-time behaviour (`batch = 1`, full fidelity).
+    /// A driver that asks one candidate at a time at full fidelity.
     pub fn new(evaluator: &'a dyn BatchEvaluator) -> Self {
         SearchDriver {
             evaluator,
@@ -425,7 +422,6 @@ impl RibbonSearch {
                 initial_samples: self.settings.initial_samples,
                 acquisition: self.settings.acquisition,
                 fit: self.settings.fit.clone(),
-                reuse_surrogate: self.settings.reuse_surrogate,
                 scan_threads: self.settings.scan_threads,
             },
         )
@@ -446,9 +442,10 @@ impl RibbonSearch {
         }
     }
 
-    /// Runs the search loop with an existing (possibly warm-started) optimizer, through
-    /// the ask/tell [`SearchDriver`] (batch size and fidelity from the settings; the
-    /// default `batch = 1` is bit-identical to [`RibbonSearch::run_legacy_with`]).
+    /// Runs the search with an existing (possibly warm-started) optimizer through the
+    /// [`SearchDriver`], with the batch size and fidelity of the settings. A start
+    /// configuration that is in the lattice and not yet explored is evaluated and told
+    /// first, and counts against the budget.
     ///
     /// At most `max_evaluations` *new* evaluations are performed in this call.
     pub fn run_with(
@@ -480,57 +477,6 @@ impl RibbonSearch {
                 &mut trace,
             );
         trace
-    }
-
-    /// The historical one-suggestion-at-a-time loop, kept verbatim as the differential
-    /// oracle for the ask/tell driver (`tests/ask_tell_differential.rs` pins
-    /// [`RibbonSearch::run_with`] at `batch = 1` bit-identical to this).
-    pub fn run_legacy_with(
-        &self,
-        evaluator: &dyn BatchEvaluator,
-        bo: &mut BoOptimizer,
-        seed: u64,
-    ) -> SearchTrace {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut trace = SearchTrace::new("RIBBON");
-        let target_rate = evaluator.target_rate();
-
-        if let Some(start) = &self.settings.start_config {
-            if bo.lattice().contains(start) && !bo.is_explored(start) {
-                self.evaluate_and_record(evaluator, bo, start.clone(), target_rate, &mut trace);
-            }
-        }
-
-        while trace.len() < self.settings.max_evaluations {
-            let suggestion = match bo.suggest(&mut rng) {
-                Ok(s) => s,
-                Err(BoError::SpaceExhausted) => break,
-                Err(_) => break,
-            };
-            self.evaluate_and_record(evaluator, bo, suggestion.config, target_rate, &mut trace);
-        }
-        trace
-    }
-
-    fn evaluate_and_record(
-        &self,
-        evaluator: &dyn BatchEvaluator,
-        bo: &mut BoOptimizer,
-        config: Vec<u32>,
-        target_rate: f64,
-        trace: &mut SearchTrace,
-    ) {
-        let eval = evaluator.evaluate(&config);
-        // A BO observe can only fail for invalid configs / non-finite objectives, neither of
-        // which the evaluator can produce; ignore the result defensively.
-        let _ = bo.observe(config.clone(), eval.objective);
-        if eval.satisfaction_rate < target_rate - self.settings.prune_threshold {
-            bo.prune_below(config.clone());
-        }
-        if eval.meets_qos {
-            bo.prune_above(config);
-        }
-        trace.evaluations.push(eval);
     }
 }
 

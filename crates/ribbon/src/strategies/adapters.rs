@@ -1,119 +1,45 @@
 //! Ask/tell adapters for the baseline strategies.
 //!
-//! Every baseline in this module is re-expressed as a [`ribbon_bo::Optimizer`] state
-//! machine: `ask` surfaces the configurations the legacy loop would evaluate next, `tell`
-//! feeds results back, and the decision logic (dominance skipping, steepest-ascent moves,
-//! RSM phase transitions) runs exactly when the legacy loop ran it — at the moment every
-//! outstanding evaluation of the current step has been told. Driven by
-//! [`crate::search::SearchDriver`] at `batch = 1`, each adapter reproduces its legacy
-//! `run_search` trace bit for bit (pinned by the `ask_tell_differential` suite); larger
-//! batches pipeline the same decisions over the parallel evaluator.
+//! Every baseline runs as a [`ribbon_bo::Optimizer`] state machine driven by
+//! [`crate::search::SearchDriver`]: `ask` surfaces the configurations the strategy
+//! evaluates next, `tell` feeds results back, and the decision logic (dominance skipping,
+//! steepest-ascent moves, RSM phase transitions) runs at the moment every outstanding
+//! evaluation of the current step has been told. A decision therefore never depends on
+//! how many candidates a round asked for, and neither does the trace: the
+//! `ask_tell_differential` suite pins the traces as literals and checks them at ask
+//! widths from 1 to 64 and at [`super::DEFAULT_ASK_CHUNK`].
 //!
 //! The adapters assume the driver's contract: every asked candidate is told (or
 //! forgotten) before the next `ask` — decisions may therefore treat the in-flight set as
-//! empty whenever `ask` finds the queue drained.
+//! empty whenever `ask` finds the queue drained. They hold lattice points as ranks
+//! ([`ConfigLattice::rank`]), 4 bytes each, and decode a configuration only when it is
+//! asked.
 
-use super::{ExhaustiveSearch, HillClimbSearch, RandomSearch, ResponseSurfaceSearch};
-use crate::evaluator::{ConfigEvaluator, Evaluation};
-use crate::search::{SearchDriver, SearchTrace};
-use crate::strategies::SearchStrategy;
-use rand::rngs::StdRng;
+use super::ResponseSurfaceSearch;
 use rand::seq::SliceRandom;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use ribbon_bo::{BoError, ConfigLattice, Optimizer, Outcome, PruneSet};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// A [`SearchStrategy`] that can also run through the ask/tell [`SearchDriver`]:
-/// it knows how to build its [`Optimizer`] state machine, how an [`Evaluation`] maps to
-/// an [`Outcome`] under its own pruning rule, and what its evaluation budget is.
-pub trait AskTellStrategy: SearchStrategy {
-    /// Builds the strategy's ask/tell optimizer over the evaluator's lattice.
-    fn optimizer(&self, evaluator: &ConfigEvaluator) -> Box<dyn Optimizer>;
-
-    /// The strategy's rule for turning an evaluation into a told outcome.
-    fn outcome_rule(&self, evaluator: &ConfigEvaluator) -> Box<dyn Fn(&Evaluation) -> Outcome>;
-
-    /// The evaluation budget against this evaluator.
-    fn budget(&self, evaluator: &ConfigEvaluator) -> usize;
-}
-
-/// Runs any [`AskTellStrategy`] through the [`SearchDriver`] with a configurable ask
-/// batch — the scenario layer's route for `[planner] batch = q` on a baseline planner.
-///
-/// At `batch = 1` the produced trace is bit-identical to the wrapped strategy's own
-/// `run_search` (the driver plays the legacy loop move for move).
-pub struct BatchedSearch<S> {
-    inner: S,
-    batch: usize,
-    fidelity: Option<f64>,
-}
-
-impl<S: AskTellStrategy> BatchedSearch<S> {
-    /// Wraps a strategy with the historical one-at-a-time behaviour.
-    pub fn new(inner: S) -> Self {
-        BatchedSearch {
-            inner,
-            batch: 1,
-            fidelity: None,
-        }
-    }
-
-    /// Sets the ask-batch size (clamped to at least 1).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
-    /// Sets the multi-fidelity fraction (see [`SearchDriver::with_fidelity`]).
-    pub fn with_fidelity(mut self, fidelity: Option<f64>) -> Self {
-        self.fidelity = fidelity;
-        self
-    }
-}
-
-impl<S: AskTellStrategy> SearchStrategy for BatchedSearch<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn run_search(&self, evaluator: &ConfigEvaluator, seed: u64) -> SearchTrace {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut opt = self.inner.optimizer(evaluator);
-        let rule = self.inner.outcome_rule(evaluator);
-        let mut trace = SearchTrace::new(self.inner.name());
-        SearchDriver::new(evaluator)
-            .with_batch(self.batch)
-            .with_fidelity(self.fidelity)
-            .run(
-                opt.as_mut(),
-                &mut rng,
-                self.inner.budget(evaluator),
-                rule.as_ref(),
-                &mut trace,
-            );
-        trace
-    }
-}
 
 // ---------------------------------------------------------------------------
 // RANDOM
 // ---------------------------------------------------------------------------
 
-/// Ask/tell form of [`RandomSearch`]: one upfront shuffle of the whole lattice, then a
-/// queue filtered through the dominance prune set. A candidate invalidated *between* its
-/// ask and its tell (by an earlier member of the same batch) is discarded at tell time —
-/// exactly where the legacy speculation replay dropped it.
+/// Ask/tell form of [`super::RandomSearch`]: one upfront shuffle of the lattice ranks,
+/// then a queue filtered through the dominance prune set. A candidate invalidated
+/// *between* its ask and its tell (by an earlier member of the same batch) is discarded
+/// at tell time — where sampling one at a time would have skipped it.
 pub struct RandomAdapter {
     lattice: ConfigLattice,
-    /// Shuffled candidates in reverse order (`pop` yields the next to sample).
-    queue: Vec<Vec<u32>>,
+    /// Shuffled ranks in reverse order (`pop` yields the next to sample).
+    queue: Vec<u32>,
     shuffled: bool,
     prune: PruneSet,
 }
 
 impl RandomAdapter {
-    /// An adapter over a lattice; the shuffle happens on the first `ask` (consuming the
-    /// driver RNG exactly like the legacy loop's upfront shuffle).
+    /// An adapter over a lattice; the shuffle happens on the first `ask`, from the driver
+    /// RNG.
     pub fn new(lattice: ConfigLattice) -> Self {
         RandomAdapter {
             lattice,
@@ -127,18 +53,20 @@ impl RandomAdapter {
 impl Optimizer for RandomAdapter {
     fn ask(&mut self, rng: &mut dyn RngCore, q: usize) -> Result<Vec<Vec<u32>>, BoError> {
         if !self.shuffled {
-            let mut candidates = self.lattice.enumerate();
-            candidates.shuffle(rng);
-            candidates.reverse();
-            self.queue = candidates;
+            // Fisher–Yates draws depend only on the length, so the ranks are permuted
+            // exactly as the configurations in enumeration order would be.
+            let mut ranks: Vec<u32> = self.lattice.ranks().collect();
+            ranks.shuffle(rng);
+            ranks.reverse();
+            self.queue = ranks;
             self.shuffled = true;
         }
         let mut out = Vec::new();
         while out.len() < q.max(1) {
-            match self.queue.pop() {
-                Some(c) if self.prune.is_pruned(&c) => continue,
-                Some(c) => out.push(c),
-                None => break,
+            let Some(rank) = self.queue.pop() else { break };
+            let config = self.lattice.config_at(rank);
+            if !self.prune.is_pruned(&config) {
+                out.push(config);
             }
         }
         if out.is_empty() {
@@ -163,7 +91,9 @@ impl Optimizer for RandomAdapter {
     }
 
     fn forget(&mut self, config: &[u32]) {
-        self.queue.push(config.to_vec());
+        if let Some(rank) = self.lattice.rank(config) {
+            self.queue.push(rank);
+        }
     }
 
     fn remaining(&self) -> Option<usize> {
@@ -171,60 +101,44 @@ impl Optimizer for RandomAdapter {
     }
 }
 
-impl AskTellStrategy for RandomSearch {
-    fn optimizer(&self, evaluator: &ConfigEvaluator) -> Box<dyn Optimizer> {
-        Box::new(RandomAdapter::new(evaluator.lattice()))
-    }
-
-    fn outcome_rule(&self, evaluator: &ConfigEvaluator) -> Box<dyn Fn(&Evaluation) -> Outcome> {
-        let target_rate = evaluator.objective().target_rate();
-        Box::new(move |e: &Evaluation| {
-            let below = e.satisfaction_rate < target_rate;
-            Outcome::new(e.config.clone(), e.objective).with_prunes(below, !below)
-        })
-    }
-
-    fn budget(&self, _evaluator: &ConfigEvaluator) -> usize {
-        self.max_evaluations
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Hill-Climb
 // ---------------------------------------------------------------------------
 
-/// Ask/tell form of [`HillClimbSearch`]: a queue of the current neighbourhood's fresh
-/// points; when the queue drains the steepest-ascent decision runs (move, or shuffle a
-/// random restart out of the driver RNG) and refills it.
+/// Ask/tell form of [`super::HillClimbSearch`]: a queue of the current neighbourhood's
+/// fresh points; when the queue drains the steepest-ascent decision runs (move, or
+/// shuffle a random restart out of the driver RNG) and refills it.
 pub struct HillClimbAdapter {
     lattice: ConfigLattice,
-    known: BTreeMap<Vec<u32>, f64>,
-    queue: VecDeque<Vec<u32>>,
+    /// Objective of every told point, by rank.
+    known: BTreeMap<u32, f64>,
+    queue: VecDeque<u32>,
     in_flight: usize,
-    /// A config that becomes the climb's current point once told (start or restart).
-    pending_move: Option<Vec<u32>>,
-    current: Option<(Vec<u32>, f64)>,
-    /// Full neighbour list of `current`, in lattice order (the decision scans all of it).
-    neighborhood: Vec<Vec<u32>>,
+    /// A point that becomes the climb's current point once told (start or restart).
+    pending_move: Option<u32>,
+    current: Option<(u32, f64)>,
+    /// Every neighbour of `current`, in lattice order (the decision scans all of them).
+    neighborhood: Vec<u32>,
     done: bool,
 }
 
 impl HillClimbAdapter {
-    /// An adapter starting from `start_config` (falling back to the lattice midpoint,
-    /// like the legacy loop).
+    /// An adapter starting from `start_config`, falling back to the lattice midpoint.
     pub fn new(lattice: ConfigLattice, start_config: Option<Vec<u32>>) -> Self {
         let start = start_config
             .filter(|c| lattice.contains(c))
             .unwrap_or_else(|| Self::midpoint(lattice.bounds()));
+        // Only an empty lattice has no midpoint inside it.
+        let start = lattice.rank(&start);
         HillClimbAdapter {
             lattice,
             known: BTreeMap::new(),
-            queue: VecDeque::from(vec![start.clone()]),
+            queue: start.into_iter().collect(),
             in_flight: 0,
-            pending_move: Some(start),
+            pending_move: start,
             current: None,
             neighborhood: Vec::new(),
-            done: false,
+            done: start.is_none(),
         }
     }
 
@@ -239,26 +153,32 @@ impl HillClimbAdapter {
         }
     }
 
-    fn set_current(&mut self, config: Vec<u32>, objective: f64) {
-        self.neighborhood = self.lattice.neighbors(&config);
+    fn set_current(&mut self, rank: u32, objective: f64) {
+        let config = self.lattice.config_at(rank);
+        self.neighborhood = self
+            .lattice
+            .neighbors(&config)
+            .iter()
+            .filter_map(|n| self.lattice.rank(n))
+            .collect();
         self.queue = self
             .neighborhood
             .iter()
-            .filter(|n| !self.known.contains_key(*n))
-            .cloned()
+            .copied()
+            .filter(|n| !self.known.contains_key(n))
             .collect();
-        self.current = Some((config, objective));
+        self.current = Some((rank, objective));
     }
 
     /// The steepest-ascent decision: runs when the neighbourhood is fully told. Loops
     /// because a move can land on a point whose neighbours are all known already.
     fn advance(&mut self, rng: &mut dyn RngCore) {
         loop {
-            let Some((_, current_obj)) = self.current.clone() else {
+            let Some((_, current_obj)) = self.current else {
                 self.done = true;
                 return;
             };
-            let mut best_neighbor: Option<(Vec<u32>, f64)> = None;
+            let mut best_neighbor: Option<(u32, f64)> = None;
             for n in &self.neighborhood {
                 let Some(&v) = self.known.get(n) else {
                     // An untold neighbour means the driver stopped mid-step; no sound
@@ -266,17 +186,13 @@ impl HillClimbAdapter {
                     self.done = true;
                     return;
                 };
-                let better = match &best_neighbor {
-                    None => true,
-                    Some((_, b)) => v > *b,
-                };
-                if better {
-                    best_neighbor = Some((n.clone(), v));
+                if best_neighbor.is_none_or(|(_, b)| v > b) {
+                    best_neighbor = Some((*n, v));
                 }
             }
             match best_neighbor {
-                Some((config, obj)) if obj > current_obj => {
-                    self.set_current(config, obj);
+                Some((rank, obj)) if obj > current_obj => {
+                    self.set_current(rank, obj);
                     if !self.queue.is_empty() {
                         return;
                     }
@@ -284,20 +200,18 @@ impl HillClimbAdapter {
                 }
                 _ => {
                     // Local optimum: random restart at an unexplored configuration.
-                    let mut candidates: Vec<Vec<u32>> = self
+                    let mut candidates: Vec<u32> = self
                         .lattice
-                        .enumerate()
-                        .into_iter()
-                        .filter(|c| !self.known.contains_key(c))
+                        .ranks()
+                        .filter(|r| !self.known.contains_key(r))
                         .collect();
                     if candidates.is_empty() {
                         self.done = true;
                         return;
                     }
                     candidates.shuffle(rng);
-                    let next = candidates[0].clone();
-                    self.pending_move = Some(next.clone());
-                    self.queue.push_back(next);
+                    self.pending_move = Some(candidates[0]);
+                    self.queue.push_back(candidates[0]);
                     return;
                 }
             }
@@ -314,7 +228,11 @@ impl Optimizer for HillClimbAdapter {
             return Err(BoError::SpaceExhausted);
         }
         let take = q.max(1).min(self.queue.len());
-        let out: Vec<Vec<u32>> = self.queue.drain(..take).collect();
+        let out: Vec<Vec<u32>> = self
+            .queue
+            .drain(..take)
+            .map(|r| self.lattice.config_at(r))
+            .collect();
         if out.is_empty() {
             return Err(BoError::SpaceExhausted);
         }
@@ -324,38 +242,26 @@ impl Optimizer for HillClimbAdapter {
 
     fn tell(&mut self, outcome: Outcome) -> Result<bool, BoError> {
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.known.insert(outcome.config.clone(), outcome.value);
-        if self.pending_move.as_ref() == Some(&outcome.config) {
+        let Some(rank) = self.lattice.rank(&outcome.config) else {
+            return Err(BoError::InvalidConfig(outcome.config));
+        };
+        self.known.insert(rank, outcome.value);
+        if self.pending_move == Some(rank) {
             self.pending_move = None;
-            self.set_current(outcome.config, outcome.value);
+            self.set_current(rank, outcome.value);
         }
         Ok(true)
     }
 
     fn forget(&mut self, config: &[u32]) {
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.queue.push_front(config.to_vec());
+        if let Some(rank) = self.lattice.rank(config) {
+            self.queue.push_front(rank);
+        }
     }
 
     fn remaining(&self) -> Option<usize> {
         None
-    }
-}
-
-impl AskTellStrategy for HillClimbSearch {
-    fn optimizer(&self, evaluator: &ConfigEvaluator) -> Box<dyn Optimizer> {
-        Box::new(HillClimbAdapter::new(
-            evaluator.lattice(),
-            self.start_config.clone(),
-        ))
-    }
-
-    fn outcome_rule(&self, _evaluator: &ConfigEvaluator) -> Box<dyn Fn(&Evaluation) -> Outcome> {
-        Box::new(|e: &Evaluation| Outcome::new(e.config.clone(), e.objective))
-    }
-
-    fn budget(&self, _evaluator: &ConfigEvaluator) -> usize {
-        self.max_evaluations
     }
 }
 
@@ -369,17 +275,18 @@ enum RsmPhase {
 }
 
 /// Ask/tell form of [`ResponseSurfaceSearch`]: the central-composite design as the first
-/// queue, then the legacy climb — batch-local best-neighbour moves, jumps to the best
-/// expandable point on stalls — with each decision deferred to the queue-drained moment.
+/// queue, then the climb — best-neighbour moves within each neighbourhood, jumps to the
+/// best expandable point on stalls — with each decision deferred to the queue-drained
+/// moment.
 pub struct RsmAdapter {
     lattice: ConfigLattice,
     phase: RsmPhase,
     queue: VecDeque<Vec<u32>>,
     in_flight: usize,
     explored: BTreeSet<Vec<u32>>,
-    /// Every told evaluation, in tell order (the legacy trace the jump rules scan).
+    /// Every told evaluation, in tell order (the trace the jump rules scan).
     evals: Vec<(Vec<u32>, f64)>,
-    /// Evaluations told since the current climb step began (the legacy `batch`).
+    /// Evaluations told since the current climb step began.
     round: Vec<(Vec<u32>, f64)>,
     current: Option<(Vec<u32>, f64)>,
     done: bool,
@@ -402,7 +309,7 @@ impl RsmAdapter {
         }
     }
 
-    /// The *last* maximal element, matching `Iterator::max_by` over the legacy trace.
+    /// The *last* maximal element, as `Iterator::max_by` picks it.
     fn last_max<'a, I>(iter: I) -> Option<(Vec<u32>, f64)>
     where
         I: Iterator<Item = &'a (Vec<u32>, f64)>,
@@ -441,8 +348,8 @@ impl RsmAdapter {
     fn advance(&mut self) {
         if matches!(self.phase, RsmPhase::Design) {
             self.phase = RsmPhase::Climb;
-            // The climb starts at the best design point (last max, like the legacy
-            // `best_objective` scan).
+            // The climb starts at the best design point (the last max, as
+            // `SearchTrace::best_objective` picks it).
             match Self::last_max(self.evals.iter()) {
                 Some((config, obj)) => {
                     self.set_current(config, obj);
@@ -461,8 +368,7 @@ impl RsmAdapter {
                 self.done = true;
                 return;
             };
-            // Best neighbour of this step: first strict max in tell order (the legacy
-            // scan over `evaluate_many(&batch)`).
+            // Best neighbour of this step: the first strict max in tell order.
             let mut best_neighbor: Option<(Vec<u32>, f64)> = None;
             for (c, o) in &self.round {
                 let better = match &best_neighbor {
@@ -565,46 +471,47 @@ impl Optimizer for RsmAdapter {
     }
 }
 
-impl AskTellStrategy for ResponseSurfaceSearch {
-    fn optimizer(&self, evaluator: &ConfigEvaluator) -> Box<dyn Optimizer> {
-        Box::new(RsmAdapter::new(evaluator.lattice()))
-    }
-
-    fn outcome_rule(&self, _evaluator: &ConfigEvaluator) -> Box<dyn Fn(&Evaluation) -> Outcome> {
-        Box::new(|e: &Evaluation| Outcome::new(e.config.clone(), e.objective))
-    }
-
-    fn budget(&self, _evaluator: &ConfigEvaluator) -> usize {
-        self.max_evaluations
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Exhaustive
 // ---------------------------------------------------------------------------
 
-/// Ask/tell form of [`ExhaustiveSearch`]: the lattice enumeration as one long queue.
+/// Ask/tell form of [`super::ExhaustiveSearch`]: a cursor over the lattice ranks in
+/// enumeration order, optionally capped, behind the candidates handed back by `forget`
+/// (asked again first, the last one forgotten first). Nothing is allocated up front.
 pub struct ExhaustiveAdapter {
-    queue: VecDeque<Vec<u32>>,
+    lattice: ConfigLattice,
+    /// The next rank to ask, and the rank the enumeration stops before.
+    next: usize,
+    end: usize,
+    forgotten: Vec<Vec<u32>>,
 }
 
 impl ExhaustiveAdapter {
-    /// An adapter enumerating the whole lattice (optionally capped).
-    pub fn new(lattice: &ConfigLattice, limit: Option<usize>) -> Self {
-        let mut configs = lattice.enumerate();
-        if let Some(limit) = limit {
-            configs.truncate(limit);
-        }
+    /// An adapter enumerating the whole lattice, or its first `limit` points.
+    pub fn new(lattice: ConfigLattice, limit: Option<usize>) -> Self {
+        let end = limit.map_or(lattice.len(), |l| l.min(lattice.len()));
         ExhaustiveAdapter {
-            queue: configs.into(),
+            lattice,
+            next: 0,
+            end,
+            forgotten: Vec::new(),
         }
     }
 }
 
 impl Optimizer for ExhaustiveAdapter {
     fn ask(&mut self, _rng: &mut dyn RngCore, q: usize) -> Result<Vec<Vec<u32>>, BoError> {
-        let take = q.max(1).min(self.queue.len());
-        let out: Vec<Vec<u32>> = self.queue.drain(..take).collect();
+        let mut out = Vec::new();
+        while out.len() < q.max(1) {
+            if let Some(config) = self.forgotten.pop() {
+                out.push(config);
+            } else if self.next < self.end {
+                out.push(self.lattice.config_at(self.next as u32));
+                self.next += 1;
+            } else {
+                break;
+            }
+        }
         if out.is_empty() {
             return Err(BoError::SpaceExhausted);
         }
@@ -616,47 +523,26 @@ impl Optimizer for ExhaustiveAdapter {
     }
 
     fn forget(&mut self, config: &[u32]) {
-        self.queue.push_front(config.to_vec());
+        self.forgotten.push(config.to_vec());
     }
 
     fn remaining(&self) -> Option<usize> {
-        Some(self.queue.len())
-    }
-}
-
-impl AskTellStrategy for ExhaustiveSearch {
-    fn optimizer(&self, evaluator: &ConfigEvaluator) -> Box<dyn Optimizer> {
-        Box::new(ExhaustiveAdapter::new(&evaluator.lattice(), self.limit))
-    }
-
-    fn outcome_rule(&self, _evaluator: &ConfigEvaluator) -> Box<dyn Fn(&Evaluation) -> Outcome> {
-        Box::new(|e: &Evaluation| Outcome::new(e.config.clone(), e.objective))
-    }
-
-    fn budget(&self, evaluator: &ConfigEvaluator) -> usize {
-        self.limit.unwrap_or_else(|| evaluator.lattice().len())
+        Some(self.forgotten.len() + (self.end - self.next))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{small_evaluator, tiny_evaluator};
+    use super::super::{ExhaustiveSearch, RandomSearch, SearchStrategy, DEFAULT_ASK_CHUNK};
     use super::*;
-
-    fn configs(trace: &SearchTrace) -> Vec<Vec<u32>> {
-        trace
-            .evaluations()
-            .iter()
-            .map(|e| e.config.clone())
-            .collect()
-    }
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn random_adapter_respects_dominance_at_any_batch() {
         let ev = small_evaluator();
-        let driven = BatchedSearch::new(RandomSearch::new(20))
-            .with_batch(6)
-            .run_search(&ev, 7);
+        let driven = RandomSearch::new(20).with_batch(6).run_search(&ev, 7);
         assert!(driven.len() <= 20);
         let mut seen = BTreeSet::new();
         for e in driven.evaluations() {
@@ -667,12 +553,32 @@ mod tests {
     #[test]
     fn exhaustive_adapter_covers_the_lattice_at_any_batch() {
         let ev = tiny_evaluator();
-        let legacy = ExhaustiveSearch::full().run_search(&ev, 0);
-        let driven = BatchedSearch::new(ExhaustiveSearch::full()).run_search(&ev, 0);
-        assert_eq!(legacy.evaluations, driven.evaluations);
-        let batched = BatchedSearch::new(ExhaustiveSearch::full())
-            .with_batch(7)
-            .run_search(&ev, 0);
-        assert_eq!(configs(&legacy), configs(&batched));
+        let lattice = ev.lattice().enumerate();
+        for batch in [1, 7, DEFAULT_ASK_CHUNK] {
+            let trace = ExhaustiveSearch::full()
+                .with_batch(batch)
+                .run_search(&ev, 0);
+            let configs: Vec<Vec<u32>> = trace
+                .evaluations()
+                .iter()
+                .map(|e| e.config.clone())
+                .collect();
+            assert_eq!(configs, lattice, "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn exhaustive_adapter_asks_forgotten_candidates_first() {
+        let mut opt = ExhaustiveAdapter::new(ConfigLattice::new(vec![2, 2]), Some(6));
+        let mut rng = StdRng::seed_from_u64(0);
+        let first = opt.ask(&mut rng, 3).unwrap();
+        assert_eq!(first, vec![vec![0, 1], vec![0, 2], vec![1, 0]]);
+        opt.forget(&first[1]);
+        opt.forget(&first[2]);
+        assert_eq!(opt.remaining(), Some(5));
+        let again = opt.ask(&mut rng, 4).unwrap();
+        assert_eq!(again, vec![vec![1, 0], vec![0, 2], vec![1, 1], vec![1, 2]]);
+        assert_eq!(opt.ask(&mut rng, 4).unwrap(), vec![vec![2, 0]]);
+        assert!(matches!(opt.ask(&mut rng, 1), Err(BoError::SpaceExhausted)));
     }
 }

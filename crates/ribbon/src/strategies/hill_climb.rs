@@ -4,15 +4,14 @@
 //! current configuration, "customized and optimized ... by intelligently increasing and
 //! decreasing the number of instances based on the observed QoS and cost". When every
 //! neighbour is worse (a local optimum) the search restarts from a random unexplored
-//! configuration, exactly as the paper describes for the Fig. 12 example.
+//! configuration, exactly as the paper describes for the Fig. 12 example. The climb runs as
+//! [`HillClimbAdapter`]: a neighbourhood's unexplored points are asked together, and the
+//! next move is decided once all of them are told.
 
-use super::SearchStrategy;
+use super::{drive, HillClimbAdapter, SearchStrategy, DEFAULT_ASK_CHUNK};
 use crate::evaluator::{ConfigEvaluator, Evaluation};
-use crate::search::SearchTrace;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use std::collections::BTreeMap;
+use crate::search::{SearchDriver, SearchTrace};
+use ribbon_bo::Outcome;
 
 /// Steepest-ascent hill climbing with random restarts.
 #[derive(Debug, Clone)]
@@ -21,6 +20,10 @@ pub struct HillClimbSearch {
     pub max_evaluations: usize,
     /// Optional starting configuration (defaults to the lattice midpoint).
     pub start_config: Option<Vec<u32>>,
+    /// Candidates asked per round (the trace is the same at every width).
+    pub batch: usize,
+    /// Optional multi-fidelity fraction in `(0, 1)`.
+    pub fidelity: Option<f64>,
 }
 
 impl HillClimbSearch {
@@ -30,26 +33,29 @@ impl HillClimbSearch {
         HillClimbSearch {
             max_evaluations,
             start_config: None,
+            batch: DEFAULT_ASK_CHUNK,
+            fidelity: None,
         }
     }
 
     /// Creates a hill-climb search starting from a specific configuration.
     pub fn from_start(max_evaluations: usize, start: Vec<u32>) -> Self {
         HillClimbSearch {
-            max_evaluations,
             start_config: Some(start),
+            ..Self::new(max_evaluations)
         }
     }
 
-    fn midpoint(bounds: &[u32]) -> Vec<u32> {
-        let mid: Vec<u32> = bounds.iter().map(|&b| b.div_ceil(2)).collect();
-        if mid.iter().all(|&c| c == 0) {
-            let mut m = mid;
-            m[0] = 1;
-            m
-        } else {
-            mid
-        }
+    /// Sets the ask-batch size (clamped to at least 1).
+    pub fn with_batch(mut self, batch: usize) -> Self {
+        self.batch = batch.max(1);
+        self
+    }
+
+    /// Sets the multi-fidelity fraction (see [`SearchDriver::with_fidelity`]).
+    pub fn with_fidelity(mut self, fidelity: Option<f64>) -> Self {
+        self.fidelity = fidelity;
+        self
     }
 }
 
@@ -59,107 +65,17 @@ impl SearchStrategy for HillClimbSearch {
     }
 
     fn run_search(&self, evaluator: &ConfigEvaluator, seed: u64) -> SearchTrace {
-        let lattice = evaluator.lattice();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut trace = SearchTrace::new(self.name());
-        // Objective values of configurations evaluated by *this* search (the evaluator also
-        // caches, but the trace must only count evaluations this strategy asked for).
-        let mut known: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
-
-        let evaluate = |config: &Vec<u32>,
-                        trace: &mut SearchTrace,
-                        known: &mut BTreeMap<Vec<u32>, f64>|
-         -> Option<Evaluation> {
-            if let Some(&v) = known.get(config) {
-                // Already evaluated by this search: reuse without consuming budget.
-                return Some(Evaluation {
-                    objective: v,
-                    ..evaluator.evaluate(config)
-                });
-            }
-            if trace.len() >= self.max_evaluations {
-                return None;
-            }
-            let eval = evaluator.evaluate(config);
-            known.insert(config.clone(), eval.objective);
-            trace.evaluations.push(eval.clone());
-            Some(eval)
-        };
-
-        let start = self
-            .start_config
-            .clone()
-            .filter(|c| lattice.contains(c))
-            .unwrap_or_else(|| Self::midpoint(lattice.bounds()));
-
-        let mut current = start;
-        let mut current_eval = match evaluate(&current, &mut trace, &mut known) {
-            Some(e) => e,
-            None => return trace,
-        };
-
-        while trace.len() < self.max_evaluations {
-            // The neighbourhood's not-yet-evaluated points are independent: evaluate them as
-            // one parallel batch (truncated to the remaining budget, replicating the serial
-            // per-neighbour budget check), then pick the best neighbour in the serial scan
-            // order over the full neighbourhood.
-            let neighbors = lattice.neighbors(&current);
-            let fresh: Vec<Vec<u32>> = neighbors
-                .iter()
-                .filter(|n| !known.contains_key(*n))
-                .cloned()
-                .collect();
-            let remaining = self.max_evaluations - trace.len();
-            let truncated = fresh.len() > remaining;
-            let batch: Vec<Vec<u32>> = fresh.into_iter().take(remaining).collect();
-            for eval in evaluator.evaluate_many(&batch) {
-                known.insert(eval.config.clone(), eval.objective);
-                trace.evaluations.push(eval);
-            }
-            if truncated {
-                return trace;
-            }
-
-            let mut best_neighbor: Option<Evaluation> = None;
-            for n in &neighbors {
-                // Every neighbour is in `known` by now, so this is a pure cache read.
-                let e = Evaluation {
-                    objective: known[n],
-                    ..evaluator.evaluate(n)
-                };
-                let better = match &best_neighbor {
-                    None => true,
-                    Some(b) => e.objective > b.objective,
-                };
-                if better {
-                    best_neighbor = Some(e);
-                }
-            }
-            match best_neighbor {
-                Some(b) if b.objective > current_eval.objective => {
-                    current = b.config.clone();
-                    current_eval = b;
-                }
-                _ => {
-                    // Local optimum: random restart at an unexplored configuration.
-                    let mut candidates: Vec<Vec<u32>> = lattice
-                        .enumerate()
-                        .into_iter()
-                        .filter(|c| !known.contains_key(c))
-                        .collect();
-                    if candidates.is_empty() {
-                        break;
-                    }
-                    candidates.shuffle(&mut rng);
-                    current = candidates[0].clone();
-                    current_eval = match evaluate(&current, &mut trace, &mut known) {
-                        Some(e) => e,
-                        None => break,
-                    };
-                }
-            }
-        }
-        trace
+        let outcome_of = |e: &Evaluation| Outcome::new(e.config.clone(), e.objective);
+        drive(
+            self.name(),
+            SearchDriver::new(evaluator)
+                .with_batch(self.batch)
+                .with_fidelity(self.fidelity),
+            &mut HillClimbAdapter::new(evaluator.lattice(), self.start_config.clone()),
+            seed,
+            self.max_evaluations,
+            &outcome_of,
+        )
     }
 }
 

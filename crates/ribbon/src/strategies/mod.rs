@@ -10,15 +10,16 @@
 //! * [`ResponseSurfaceSearch`] — a 3-level face-centered central-composite design followed by
 //!   local exploration around the best design point;
 //! * [`ExhaustiveSearch`] — evaluates the entire lattice (ground truth / normalization);
-//! * [`TpeSearch`] — a tree-structured Parzen estimator running natively through the
-//!   ask/tell driver;
+//! * [`TpeSearch`] — a tree-structured Parzen estimator;
 //! * [`crate::RibbonSearch`] — Ribbon itself (defined in [`crate::search`], re-exported here
 //!   through the trait).
 //!
-//! Every baseline also implements [`AskTellStrategy`]: wrapped in [`BatchedSearch`] it
-//! runs through the [`crate::search::SearchDriver`] as an ask/tell [`ribbon_bo::Optimizer`]
-//! state machine, pipelining batched asks into the parallel evaluator (bit-identical to
-//! the legacy loop at `batch = 1`).
+//! Every strategy runs through the one search loop, [`crate::search::SearchDriver`]. Each
+//! baseline is an ask/tell [`ribbon_bo::Optimizer`] state machine (its adapter) whose
+//! decisions run once everything asked before them has been told, so its trace does not
+//! depend on how many candidates a round asks for: unless a batch is set, a baseline asks
+//! for [`DEFAULT_ASK_CHUNK`] candidates a round and the parallel evaluator runs them
+//! together.
 
 mod adapters;
 mod exhaustive;
@@ -27,17 +28,26 @@ mod random;
 mod rsm;
 mod tpe;
 
-pub use adapters::{
-    AskTellStrategy, BatchedSearch, ExhaustiveAdapter, HillClimbAdapter, RandomAdapter, RsmAdapter,
-};
+pub use adapters::{ExhaustiveAdapter, HillClimbAdapter, RandomAdapter, RsmAdapter};
 pub use exhaustive::ExhaustiveSearch;
 pub use hill_climb::HillClimbSearch;
 pub use random::RandomSearch;
 pub use rsm::ResponseSurfaceSearch;
 pub use tpe::TpeSearch;
 
-use crate::evaluator::ConfigEvaluator;
-use crate::search::{RibbonSearch, SearchTrace};
+use crate::evaluator::{ConfigEvaluator, Evaluation};
+use crate::search::{RibbonSearch, SearchDriver, SearchTrace};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use ribbon_bo::{Optimizer, Outcome};
+
+/// Candidates a baseline asks per round when no batch is set. A baseline's trace is the
+/// same at every ask width (the `ask_tell_differential` suite checks widths 1 to 64 and
+/// this one), so the width only sets how many evaluations one parallel
+/// [`ConfigEvaluator::evaluate_many`] call runs. The driver caps each ask at the
+/// remaining budget, which bounds RANDOM's speculative evaluations of candidates an
+/// earlier member of the round rules out.
+pub const DEFAULT_ASK_CHUNK: usize = 256;
 
 /// A configuration-search strategy.
 ///
@@ -71,6 +81,23 @@ impl<T: SearchStrategy + ?Sized> SearchStrategy for Box<T> {
     fn run_search(&self, evaluator: &ConfigEvaluator, seed: u64) -> SearchTrace {
         (**self).run_search(evaluator, seed)
     }
+}
+
+/// Runs `opt` through the [`SearchDriver`] from an empty trace named `name`, with the
+/// RNG seeded by `seed`: how every strategy but RIBBON (which can start from a
+/// warm-started optimizer) runs its search.
+fn drive(
+    name: &str,
+    driver: SearchDriver<'_>,
+    opt: &mut dyn Optimizer,
+    seed: u64,
+    budget: usize,
+    outcome_of: &dyn Fn(&Evaluation) -> Outcome,
+) -> SearchTrace {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut trace = SearchTrace::new(name);
+    driver.run(opt, &mut rng, budget, outcome_of, &mut trace);
+    trace
 }
 
 impl SearchStrategy for RibbonSearch {

@@ -7,27 +7,50 @@
 //! for each type meets the QoS at a lower cost."
 //!
 //! Both skip rules are exactly the dominance boxes of [`ribbon_bo::PruneSet`], so the
-//! implementation reuses it.
+//! implementation reuses it: a violator rules out everything with fewer instances of
+//! every type, a satisfier everything with more (those are strictly more expensive).
+//! The search runs as [`RandomAdapter`]: one seeded shuffle of the lattice ranks,
+//! filtered through the prune set as candidates are asked. A candidate that an earlier
+//! member of its own round rules out is evaluated but discarded when told — exactly where
+//! sampling one at a time would have skipped it — so the trace is the same at every ask
+//! width.
 
-use super::SearchStrategy;
-use crate::evaluator::ConfigEvaluator;
-use crate::search::SearchTrace;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use ribbon_bo::PruneSet;
+use super::{drive, RandomAdapter, SearchStrategy, DEFAULT_ASK_CHUNK};
+use crate::evaluator::{ConfigEvaluator, Evaluation};
+use crate::search::{SearchDriver, SearchTrace};
+use ribbon_bo::Outcome;
 
 /// Random configuration sampling with dominance-based skipping.
 #[derive(Debug, Clone)]
 pub struct RandomSearch {
     /// Maximum number of configurations to evaluate.
     pub max_evaluations: usize,
+    /// Candidates asked per round (the trace is the same at every width).
+    pub batch: usize,
+    /// Optional multi-fidelity fraction in `(0, 1)`.
+    pub fidelity: Option<f64>,
 }
 
 impl RandomSearch {
     /// Creates a random search with the given evaluation budget.
     pub fn new(max_evaluations: usize) -> Self {
-        RandomSearch { max_evaluations }
+        RandomSearch {
+            max_evaluations,
+            batch: DEFAULT_ASK_CHUNK,
+            fidelity: None,
+        }
+    }
+
+    /// Sets the ask-batch size (clamped to at least 1).
+    pub fn with_batch(mut self, batch: usize) -> Self {
+        self.batch = batch.max(1);
+        self
+    }
+
+    /// Sets the multi-fidelity fraction (see [`SearchDriver::with_fidelity`]).
+    pub fn with_fidelity(mut self, fidelity: Option<f64>) -> Self {
+        self.fidelity = fidelity;
+        self
     }
 }
 
@@ -37,57 +60,21 @@ impl SearchStrategy for RandomSearch {
     }
 
     fn run_search(&self, evaluator: &ConfigEvaluator, seed: u64) -> SearchTrace {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut candidates = evaluator.lattice().enumerate();
-        candidates.shuffle(&mut rng);
-
-        let mut prune = PruneSet::new();
-        let mut trace = SearchTrace::new(self.name());
         let target_rate = evaluator.objective().target_rate();
-
-        // The skip rule makes this search inherently sequential: whether a candidate is
-        // evaluated depends on every earlier result. To still batch through the parallel
-        // engine we *speculate*: gather a window of candidates that are open under the
-        // current prune set, evaluate them concurrently, then replay the window serially —
-        // a member invalidated by an earlier member of its own window is discarded exactly
-        // where the serial loop would have skipped it (its evaluation was wasted speculation,
-        // but it is cached, and the resulting trace is identical to the serial one). With a
-        // serial evaluator (1 thread) the window is 1 and no speculation happens at all.
-        let window = match evaluator.parallelism() {
-            0 | 1 => 1,
-            n => n * 2,
+        let outcome_of = |e: &Evaluation| {
+            let below = e.satisfaction_rate < target_rate;
+            Outcome::new(e.config.clone(), e.objective).with_prunes(below, !below)
         };
-
-        let mut idx = 0;
-        'outer: while idx < candidates.len() && trace.len() < self.max_evaluations {
-            let mut batch: Vec<Vec<u32>> = Vec::new();
-            while idx < candidates.len() && batch.len() < window {
-                let config = &candidates[idx];
-                idx += 1;
-                if !prune.is_pruned(config) {
-                    batch.push(config.clone());
-                }
-            }
-            for eval in evaluator.evaluate_many(&batch) {
-                if trace.len() >= self.max_evaluations {
-                    break 'outer;
-                }
-                if prune.is_pruned(&eval.config) {
-                    // Invalidated by an earlier member of this window.
-                    continue;
-                }
-                if eval.satisfaction_rate < target_rate {
-                    // A violator rules out everything with fewer instances of every type.
-                    prune.prune_below(eval.config.clone());
-                } else {
-                    // A satisfier rules out everything with more instances of every type
-                    // (those are strictly more expensive).
-                    prune.prune_above(eval.config.clone());
-                }
-                trace.evaluations.push(eval);
-            }
-        }
-        trace
+        drive(
+            self.name(),
+            SearchDriver::new(evaluator)
+                .with_batch(self.batch)
+                .with_fidelity(self.fidelity),
+            &mut RandomAdapter::new(evaluator.lattice()),
+            seed,
+            self.max_evaluations,
+            &outcome_of,
+        )
     }
 }
 

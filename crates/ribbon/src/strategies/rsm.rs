@@ -8,11 +8,13 @@
 //! the centre point, the 2n axial points (one factor at low/high, the rest at mid), and the
 //! 2^n factorial corners (every factor at low or high). After evaluating the design, the
 //! strategy hill-climbs locally around the best design point until the budget is exhausted.
+//! The search runs as [`RsmAdapter`]: the design is asked as one queue, then each
+//! neighbourhood's unexplored points together, with every move decided once they are told.
 
-use super::SearchStrategy;
-use crate::evaluator::ConfigEvaluator;
-use crate::search::SearchTrace;
-use ribbon_bo::ConfigLattice;
+use super::{drive, RsmAdapter, SearchStrategy, DEFAULT_ASK_CHUNK};
+use crate::evaluator::{ConfigEvaluator, Evaluation};
+use crate::search::{SearchDriver, SearchTrace};
+use ribbon_bo::{ConfigLattice, Outcome};
 use std::collections::BTreeSet;
 
 /// Central-composite-design response-surface exploration.
@@ -20,12 +22,32 @@ use std::collections::BTreeSet;
 pub struct ResponseSurfaceSearch {
     /// Maximum number of configurations to evaluate (design points included).
     pub max_evaluations: usize,
+    /// Candidates asked per round (the trace is the same at every width).
+    pub batch: usize,
+    /// Optional multi-fidelity fraction in `(0, 1)`.
+    pub fidelity: Option<f64>,
 }
 
 impl ResponseSurfaceSearch {
     /// Creates an RSM search with the given evaluation budget.
     pub fn new(max_evaluations: usize) -> Self {
-        ResponseSurfaceSearch { max_evaluations }
+        ResponseSurfaceSearch {
+            max_evaluations,
+            batch: DEFAULT_ASK_CHUNK,
+            fidelity: None,
+        }
+    }
+
+    /// Sets the ask-batch size (clamped to at least 1).
+    pub fn with_batch(mut self, batch: usize) -> Self {
+        self.batch = batch.max(1);
+        self
+    }
+
+    /// Sets the multi-fidelity fraction (see [`SearchDriver::with_fidelity`]).
+    pub fn with_fidelity(mut self, fidelity: Option<f64>) -> Self {
+        self.fidelity = fidelity;
+        self
     }
 
     /// The face-centered central-composite design points for a lattice, deduplicated,
@@ -76,107 +98,18 @@ impl SearchStrategy for ResponseSurfaceSearch {
         "RSM"
     }
 
-    fn run_search(&self, evaluator: &ConfigEvaluator, _seed: u64) -> SearchTrace {
-        let lattice = evaluator.lattice();
-        let mut trace = SearchTrace::new(self.name());
-        let mut explored: BTreeSet<Vec<u32>> = BTreeSet::new();
-
-        // Phase 1: evaluate the design as one parallel batch (truncated to the budget —
-        // identical to the serial loop, which stops at the budget check before each point).
-        let mut design = Self::design_points(&lattice);
-        let design_exceeds_budget = design.len() > self.max_evaluations;
-        design.truncate(self.max_evaluations);
-        trace.evaluations = evaluator.evaluate_many(&design);
-        explored.extend(design);
-        if design_exceeds_budget {
-            return trace;
-        }
-
-        // Phase 2: local steepest-ascent exploration around the best point so far. Each
-        // neighbourhood's unexplored points are independent, so they evaluate as one batch;
-        // order, budget cut-off and best-neighbour tie-breaking replicate the serial scan.
-        let Some(best) = trace.best_objective().cloned() else {
-            return trace;
-        };
-        let mut current = best.config.clone();
-        let mut current_obj = best.objective;
-        while trace.len() < self.max_evaluations {
-            let fresh: Vec<Vec<u32>> = lattice
-                .neighbors(&current)
-                .into_iter()
-                .filter(|n| !explored.contains(n))
-                .collect();
-            let remaining = self.max_evaluations - trace.len();
-            let truncated = fresh.len() > remaining;
-            let batch: Vec<Vec<u32>> = fresh.into_iter().take(remaining).collect();
-
-            let mut best_neighbor: Option<(Vec<u32>, f64)> = None;
-            let advanced = !batch.is_empty();
-            for eval in evaluator.evaluate_many(&batch) {
-                explored.insert(eval.config.clone());
-                let obj = eval.objective;
-                if best_neighbor
-                    .as_ref()
-                    .map(|(_, o)| obj > *o)
-                    .unwrap_or(true)
-                {
-                    best_neighbor = Some((eval.config.clone(), obj));
-                }
-                trace.evaluations.push(eval);
-            }
-            if truncated {
-                return trace;
-            }
-            match best_neighbor {
-                Some((cfg, obj)) if obj > current_obj => {
-                    current = cfg;
-                    current_obj = obj;
-                }
-                _ if advanced => {
-                    // Neighbourhood fully explored without improvement: jump to the best
-                    // explored-but-not-yet-expanded point overall.
-                    let next = trace
-                        .evaluations()
-                        .iter()
-                        .filter(|e| e.config != current)
-                        .filter(|e| {
-                            lattice
-                                .neighbors(&e.config)
-                                .iter()
-                                .any(|n| !explored.contains(n))
-                        })
-                        .max_by(|a, b| a.objective.partial_cmp(&b.objective).unwrap());
-                    match next {
-                        Some(e) => {
-                            current = e.config.clone();
-                            current_obj = e.objective;
-                        }
-                        None => break,
-                    }
-                }
-                _ => {
-                    // No unexplored neighbours at all: move to the best expandable point.
-                    let next = trace
-                        .evaluations()
-                        .iter()
-                        .filter(|e| {
-                            lattice
-                                .neighbors(&e.config)
-                                .iter()
-                                .any(|n| !explored.contains(n))
-                        })
-                        .max_by(|a, b| a.objective.partial_cmp(&b.objective).unwrap());
-                    match next {
-                        Some(e) if e.config != current => {
-                            current = e.config.clone();
-                            current_obj = e.objective;
-                        }
-                        _ => break,
-                    }
-                }
-            }
-        }
-        trace
+    fn run_search(&self, evaluator: &ConfigEvaluator, seed: u64) -> SearchTrace {
+        let outcome_of = |e: &Evaluation| Outcome::new(e.config.clone(), e.objective);
+        drive(
+            self.name(),
+            SearchDriver::new(evaluator)
+                .with_batch(self.batch)
+                .with_fidelity(self.fidelity),
+            &mut RsmAdapter::new(evaluator.lattice()),
+            seed,
+            self.max_evaluations,
+            &outcome_of,
+        )
     }
 }
 

@@ -8,11 +8,9 @@
 //! come for free — and applies Ribbon's active-pruning rule to each told outcome, so its
 //! traces are directly comparable to the RIBBON planner's.
 
-use super::SearchStrategy;
+use super::{drive, SearchStrategy};
 use crate::evaluator::{ConfigEvaluator, Evaluation};
 use crate::search::{SearchDriver, SearchTrace};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use ribbon_bo::{Outcome, TpeOptimizer, TpeSettings};
 
 /// TPE-driven configuration search with Ribbon's pruning rule.
@@ -31,7 +29,7 @@ pub struct TpeSearch {
 }
 
 impl TpeSearch {
-    /// A TPE search with default Parzen knobs and the historical one-at-a-time loop.
+    /// A TPE search with default Parzen knobs, asking one candidate at a time.
     pub fn new(max_evaluations: usize) -> Self {
         TpeSearch {
             max_evaluations,
@@ -71,21 +69,16 @@ impl SearchStrategy for TpeSearch {
     }
 
     fn run_search(&self, evaluator: &ConfigEvaluator, seed: u64) -> SearchTrace {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut opt = TpeOptimizer::new(evaluator.lattice(), self.settings.clone());
-        let outcome_of = self.outcome_rule(evaluator);
-        let mut trace = SearchTrace::new(self.name());
-        SearchDriver::new(evaluator)
-            .with_batch(self.batch)
-            .with_fidelity(self.fidelity)
-            .run(
-                &mut opt,
-                &mut rng,
-                self.max_evaluations,
-                &outcome_of,
-                &mut trace,
-            );
-        trace
+        drive(
+            self.name(),
+            SearchDriver::new(evaluator)
+                .with_batch(self.batch)
+                .with_fidelity(self.fidelity),
+            &mut TpeOptimizer::new(evaluator.lattice(), self.settings.clone()),
+            seed,
+            self.max_evaluations,
+            &self.outcome_rule(evaluator),
+        )
     }
 }
 

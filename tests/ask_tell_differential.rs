@@ -1,6 +1,6 @@
 //! Differential suite for the ask/tell search driver.
 //!
-//! Two families of pins:
+//! Three families of pins:
 //!
 //! 1. **Literal batch-1 traces** — every strategy routed through the
 //!    [`ribbon::search::SearchDriver`] at `batch = 1` must evaluate exactly the
@@ -9,7 +9,9 @@
 //!    the traces of the one-suggestion-at-a-time loops the driver replaced, captured
 //!    while both still ran side by side and agreed bit for bit. TPE's seeded-random
 //!    fallback is pinned against the BO engine's random initial phase.
-//! 2. **Successive-halving soundness** — a proptest that multi-fidelity promotion never
+//! 2. **Width invariance** — a baseline's trace is the same at every ask width, which is
+//!    what lets the baselines ask [`DEFAULT_ASK_CHUNK`] candidates a round by default.
+//! 3. **Successive-halving soundness** — a proptest that multi-fidelity promotion never
 //!    discards a configuration that full-fidelity evaluation would have ranked best:
 //!    every discarded estimate's true full-stream objective is at most the best full
 //!    objective the trace kept.
@@ -18,8 +20,8 @@ use proptest::prelude::*;
 use ribbon::evaluator::{ConfigEvaluator, EvaluatorSettings};
 use ribbon::search::SearchTrace;
 use ribbon::strategies::{
-    BatchedSearch, ExhaustiveSearch, HillClimbSearch, RandomSearch, ResponseSurfaceSearch,
-    SearchStrategy, TpeSearch,
+    ExhaustiveSearch, HillClimbSearch, RandomSearch, ResponseSurfaceSearch, SearchStrategy,
+    TpeSearch, DEFAULT_ASK_CHUNK,
 };
 use ribbon::{RibbonSearch, RibbonSettings};
 use ribbon_models::{ModelKind, Workload};
@@ -53,25 +55,15 @@ fn fidelity_evaluator() -> &'static ConfigEvaluator {
     EV.get_or_init(build_small_evaluator)
 }
 
-/// An even smaller lattice for the exhaustive comparison.
-fn tiny_evaluator() -> ConfigEvaluator {
-    let mut w = Workload::standard(ModelKind::MtWnd);
-    w.num_queries = 600;
-    ConfigEvaluator::new(
-        &w,
-        EvaluatorSettings {
-            explicit_bounds: Some(vec![5, 0, 4]),
-            ..Default::default()
-        },
-    )
-}
+/// A pinned trace: the evaluated configurations, in order.
+type Trace = &'static [[u32; 3]];
 
 /// RANDOM and Hill-Climb at budget 40 on the 6×4×6 evaluator, by seed. RANDOM stops
 /// short of the budget at seeds 0 and 5, where its dominance skip rule has ruled out
 /// every remaining configuration; Hill-Climb's random restarts diverge after the
 /// first local optimum. A smaller budget evaluates a prefix.
 #[rustfmt::skip]
-const SEEDED: [(u64, &[[u32; 3]], &[[u32; 3]]); 3] = [
+const SEEDED: [(u64, Trace, Trace); 3] = [
     (
         0,
         &[
@@ -131,7 +123,7 @@ const SEEDED: [(u64, &[[u32; 3]], &[[u32; 3]]); 3] = [
 /// RSM at budget 40: the 14-point central-composite design, then the climb. RSM
 /// ignores the seed.
 #[rustfmt::skip]
-const RSM: &[[u32; 3]] = &[
+const RSM: Trace = &[
     [3, 2, 3], [0, 2, 3], [6, 2, 3], [3, 0, 3], [3, 4, 3], [3, 2, 0], [3, 2, 6], [6, 0, 0],
     [0, 4, 0], [6, 4, 0], [0, 0, 6], [6, 0, 6], [0, 4, 6], [6, 4, 6], [4, 2, 0], [2, 2, 0],
     [3, 3, 0], [3, 1, 0], [3, 2, 1], [4, 3, 0], [2, 3, 0], [3, 4, 0], [3, 3, 1], [4, 3, 1],
@@ -141,7 +133,7 @@ const RSM: &[[u32; 3]] = &[
 
 /// The exhaustive search's first 40 configurations: the lattice in enumeration order.
 #[rustfmt::skip]
-const EXHAUSTIVE: &[[u32; 3]] = &[
+const EXHAUSTIVE: Trace = &[
     [0, 0, 1], [0, 0, 2], [0, 0, 3], [0, 0, 4], [0, 0, 5], [0, 0, 6], [0, 1, 0], [0, 1, 1],
     [0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5], [0, 1, 6], [0, 2, 0], [0, 2, 1], [0, 2, 2],
     [0, 2, 3], [0, 2, 4], [0, 2, 5], [0, 2, 6], [0, 3, 0], [0, 3, 1], [0, 3, 2], [0, 3, 3],
@@ -151,7 +143,7 @@ const EXHAUSTIVE: &[[u32; 3]] = &[
 
 /// RIBBON (coarse GP grid, budget 12) by seed.
 #[rustfmt::skip]
-const RIBBON: [(u64, &[[u32; 3]]); 3] = [
+const RIBBON: [(u64, Trace); 3] = [
     (1, &[
         [5, 3, 2], [1, 1, 6], [0, 3, 6], [6, 0, 0], [2, 0, 0], [5, 0, 0], [4, 2, 1],
         [4, 3, 0], [4, 0, 6], [4, 0, 4], [3, 4, 6], [4, 1, 3],
@@ -168,7 +160,7 @@ const RIBBON: [(u64, &[[u32; 3]]); 3] = [
 
 /// RIBBON at seed 5, budget 10, starting from `[3, 2, 3]`.
 #[rustfmt::skip]
-const RIBBON_FROM_3_2_3: &[[u32; 3]] = &[
+const RIBBON_FROM_3_2_3: Trace = &[
     [3, 2, 3], [6, 4, 4], [2, 0, 2], [5, 3, 4], [3, 4, 5], [5, 4, 1], [6, 0, 6], [6, 2, 2],
     [6, 1, 4], [0, 4, 0],
 ];
@@ -258,31 +250,69 @@ fn baseline_adapters_at_batch_1_are_bit_identical_to_their_legacy_loops() {
     let ev = small_evaluator();
     for (seed, random, hill_climb) in SEEDED {
         for budget in [6usize, 14, 40] {
-            let head = |pin: &'static [[u32; 3]]| &pin[..budget.min(pin.len())];
+            let head = |pin: Trace| &pin[..budget.min(pin.len())];
             let label = |name: &str| format!("{name} seed {seed}/{budget}");
-            let trace = BatchedSearch::new(RandomSearch::new(budget)).run_search(ev, seed);
+            let trace = RandomSearch::new(budget).with_batch(1).run_search(ev, seed);
             assert_pinned(&trace, head(random), &label("RANDOM"));
-            let trace = BatchedSearch::new(HillClimbSearch::new(budget)).run_search(ev, seed);
+            let trace = HillClimbSearch::new(budget)
+                .with_batch(1)
+                .run_search(ev, seed);
             assert_pinned(&trace, head(hill_climb), &label("Hill-Climb"));
-            let trace = BatchedSearch::new(ResponseSurfaceSearch::new(budget)).run_search(ev, seed);
+            let trace = ResponseSurfaceSearch::new(budget)
+                .with_batch(1)
+                .run_search(ev, seed);
             assert_pinned(&trace, head(RSM), &label("RSM"));
-            let trace = BatchedSearch::new(ExhaustiveSearch::capped(budget)).run_search(ev, seed);
+            let trace = ExhaustiveSearch::capped(budget)
+                .with_batch(1)
+                .run_search(ev, seed);
             assert_pinned(&trace, head(EXHAUSTIVE), &label("exhaustive"));
         }
     }
 }
 
+/// A baseline decides its next move only once everything it asked before has been told,
+/// so its trace cannot depend on how many candidates a round asks for. RANDOM evaluates
+/// a wider round speculatively and discards, when told, each candidate an earlier member
+/// ruled out. The widths run from one at a time to past the lattice size.
 #[test]
-fn exhaustive_adapter_is_bit_identical_at_any_batch() {
-    let ev = tiny_evaluator();
-    let legacy = ExhaustiveSearch::default().run_search(&ev, 0);
-    for batch in [1usize, 4] {
-        let driver = BatchedSearch::new(ExhaustiveSearch::default())
-            .with_batch(batch)
-            .run_search(&ev, 0);
-        assert_eq!(
-            driver.evaluations, legacy.evaluations,
-            "exhaustive diverges at batch {batch}"
+fn baseline_traces_do_not_depend_on_the_ask_width() {
+    let ev = small_evaluator();
+    let baselines = |budget: usize, width: usize| -> [Box<dyn SearchStrategy>; 4] {
+        [
+            Box::new(RandomSearch::new(budget).with_batch(width)),
+            Box::new(HillClimbSearch::new(budget).with_batch(width)),
+            Box::new(ResponseSurfaceSearch::new(budget).with_batch(width)),
+            Box::new(ExhaustiveSearch::capped(budget).with_batch(width)),
+        ]
+    };
+    for seed in [0u64, 5, 9, 17] {
+        for budget in [6usize, 14, 40, 90] {
+            let one_at_a_time = baselines(budget, 1).map(|s| s.run_search(ev, seed));
+            for width in [2, 3, 4, 7, 16, 64, DEFAULT_ASK_CHUNK] {
+                for (strategy, expected) in baselines(budget, width).iter().zip(&one_at_a_time) {
+                    let trace = strategy.run_search(ev, seed);
+                    assert_eq!(
+                        trace.evaluations,
+                        expected.evaluations,
+                        "{} seed {seed}/{budget}: width {width} diverges from width 1",
+                        strategy.name()
+                    );
+                }
+            }
+        }
+    }
+    let lattice: Vec<[u32; 3]> = ev
+        .lattice()
+        .enumerate()
+        .iter()
+        .map(|c| c.as_slice().try_into().expect("three instance types"))
+        .collect();
+    for width in [1, 2, 3, 4, 7, 16, 64, DEFAULT_ASK_CHUNK] {
+        let trace = ExhaustiveSearch::full().with_batch(width).run_search(ev, 0);
+        assert_pinned(
+            &trace,
+            &lattice,
+            &format!("full exhaustive at width {width}"),
         );
     }
 }

@@ -23,10 +23,13 @@ fn small_evaluator() -> ConfigEvaluator {
     )
 }
 
-/// The coarse-grid searches (budget 15) by seed: each evaluated configuration with the
-/// bits of its Eq. 2 objective, as the from-scratch grid refit produced them.
+/// An evaluated configuration with the bits of its Eq. 2 objective.
+type Pinned = ([u32; 3], u64);
+
+/// The coarse-grid searches (budget 15) by seed, as the from-scratch grid refit produced
+/// them.
 #[rustfmt::skip]
-const COARSE_GRID: [(u64, &[([u32; 3], u64)]); 3] = [
+const COARSE_GRID: [(u64, &[Pinned]); 3] = [
     (
         1,
         &[
@@ -70,7 +73,7 @@ const COARSE_GRID: [(u64, &[([u32; 3], u64)]); 3] = [
 
 /// The default-grid search (budget 10, seed 4), as the from-scratch refit produced it.
 #[rustfmt::skip]
-const DEFAULT_GRID_SEED_4: &[([u32; 3], u64)] = &[
+const DEFAULT_GRID_SEED_4: &[Pinned] = &[
     ([6, 4, 6], 0x3fe0000000000000), ([6, 3, 5], 0x3fe1723adda555d6),
     ([5, 0, 0], 0x3fe838c8a2c7b081), ([0, 1, 0], 0x3f74afd6a052bf5b),
     ([4, 0, 2], 0x3fe8e56802457727), ([3, 0, 6], 0x3fdfe0f83e0f83e1),
@@ -79,7 +82,7 @@ const DEFAULT_GRID_SEED_4: &[([u32; 3], u64)] = &[
 ];
 
 /// The trace's configurations with the bits of their objectives, in evaluation order.
-fn with_objective_bits(trace: &SearchTrace) -> Vec<([u32; 3], u64)> {
+fn with_objective_bits(trace: &SearchTrace) -> Vec<Pinned> {
     trace
         .evaluations()
         .iter()
