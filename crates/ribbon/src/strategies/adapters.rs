@@ -18,6 +18,7 @@
 use super::ResponseSurfaceSearch;
 use rand::seq::SliceRandom;
 use rand::RngCore;
+use ribbon_bo::space::dominated_by;
 use ribbon_bo::{BoError, ConfigLattice, Optimizer, Outcome, PruneSet};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -26,9 +27,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 // ---------------------------------------------------------------------------
 
 /// Ask/tell form of [`super::RandomSearch`]: one upfront shuffle of the lattice ranks,
-/// then a queue filtered through the dominance prune set. A candidate invalidated
-/// *between* its ask and its tell (by an earlier member of the same batch) is discarded
-/// at tell time — where sampling one at a time would have skipped it.
+/// then a queue filtered through the dominance prune set.
+///
+/// A told outcome prunes configurations comparable to its own (all below a violator,
+/// all above a satisfier), so a round ends before the first candidate comparable to one
+/// it already holds: that candidate waits for the round's outcomes, and no member of a
+/// round can rule out another. Every candidate asked is one that sampling one at a time
+/// would evaluate, in the same order. An outcome whose configuration a prune box
+/// covers by the time it is told (asked again before the tells) is not counted.
 pub struct RandomAdapter {
     lattice: ConfigLattice,
     /// Shuffled ranks in reverse order (`pop` yields the next to sample).
@@ -61,13 +67,24 @@ impl Optimizer for RandomAdapter {
             self.queue = ranks;
             self.shuffled = true;
         }
-        let mut out = Vec::new();
+        let mut out: Vec<Vec<u32>> = Vec::new();
         while out.len() < q.max(1) {
-            let Some(rank) = self.queue.pop() else { break };
+            let Some(&rank) = self.queue.last() else {
+                break;
+            };
             let config = self.lattice.config_at(rank);
-            if !self.prune.is_pruned(&config) {
-                out.push(config);
+            if self.prune.is_pruned(&config) {
+                self.queue.pop();
+                continue;
             }
+            if out
+                .iter()
+                .any(|c| dominated_by(c, &config) || dominated_by(&config, c))
+            {
+                break;
+            }
+            self.queue.pop();
+            out.push(config);
         }
         if out.is_empty() {
             return Err(BoError::SpaceExhausted);
@@ -77,8 +94,6 @@ impl Optimizer for RandomAdapter {
 
     fn tell(&mut self, outcome: Outcome) -> Result<bool, BoError> {
         if self.prune.is_pruned(&outcome.config) {
-            // Invalidated by an earlier member of its own batch: wasted speculation,
-            // not an observation.
             return Ok(false);
         }
         if outcome.prune_below {

@@ -43,10 +43,9 @@ use ribbon_bo::{Optimizer, Outcome};
 
 /// Candidates a baseline asks per round when no batch is set. A baseline's trace is the
 /// same at every ask width (the `ask_tell_differential` suite checks widths 1 to 64 and
-/// this one), so the width only sets how many evaluations one parallel
-/// [`ConfigEvaluator::evaluate_many`] call runs. The driver caps each ask at the
-/// remaining budget, which bounds RANDOM's speculative evaluations of candidates an
-/// earlier member of the round rules out.
+/// this one), so the width only caps how many evaluations one parallel
+/// [`ConfigEvaluator::evaluate_many`] call runs; the driver also caps each ask at the
+/// remaining budget.
 pub const DEFAULT_ASK_CHUNK: usize = 256;
 
 /// A configuration-search strategy.

@@ -10,10 +10,10 @@
 //! implementation reuses it: a violator rules out everything with fewer instances of
 //! every type, a satisfier everything with more (those are strictly more expensive).
 //! The search runs as [`RandomAdapter`]: one seeded shuffle of the lattice ranks,
-//! filtered through the prune set as candidates are asked. A candidate that an earlier
-//! member of its own round rules out is evaluated but discarded when told — exactly where
-//! sampling one at a time would have skipped it — so the trace is the same at every ask
-//! width.
+//! filtered through the prune set as candidates are asked. A round of candidates holds
+//! no two comparable configurations, so no member's outcome can rule out another: the
+//! round evaluates exactly what sampling one at a time would, and the trace is the same
+//! at every ask width.
 
 use super::{drive, RandomAdapter, SearchStrategy, DEFAULT_ASK_CHUNK};
 use crate::evaluator::{ConfigEvaluator, Evaluation};

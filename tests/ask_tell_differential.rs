@@ -271,9 +271,9 @@ fn baseline_adapters_at_batch_1_are_bit_identical_to_their_legacy_loops() {
 }
 
 /// A baseline decides its next move only once everything it asked before has been told,
-/// so its trace cannot depend on how many candidates a round asks for. RANDOM evaluates
-/// a wider round speculatively and discards, when told, each candidate an earlier member
-/// ruled out. The widths run from one at a time to past the lattice size.
+/// so its trace cannot depend on how many candidates a round asks for; RANDOM ends a
+/// round before a candidate that an earlier member's outcome could rule out. The widths
+/// run from one at a time to past the lattice size.
 #[test]
 fn baseline_traces_do_not_depend_on_the_ask_width() {
     let ev = small_evaluator();
