@@ -569,7 +569,7 @@ mod tests {
     fn exhaustive_adapter_covers_the_lattice_at_any_batch() {
         let ev = tiny_evaluator();
         let lattice = ev.lattice().enumerate();
-        for batch in [1, 7, DEFAULT_ASK_CHUNK] {
+        for batch in [1, 4, 7, DEFAULT_ASK_CHUNK] {
             let trace = ExhaustiveSearch::full()
                 .with_batch(batch)
                 .run_search(&ev, 0);
