@@ -5,15 +5,21 @@
 //! 1. **Twin equality** (runs in every `cargo test`): the bundled scenario files
 //!    `scenarios/mtwnd_hotpath_search.toml` and `scenarios/mtwnd_flash_crowd.toml` must
 //!    compile to exactly the engine objects of their programmatic twins in
-//!    [`ribbon_bench::perf`] — the specs CI's `perfsnap --check` executes against the
-//!    goldens. File and harness can therefore never drift apart silently.
-//! 2. **Full golden run** (`--ignored`; CI covers it via `perfsnap --check` in release
-//!    mode, where it takes ~30 s instead of debug-mode minutes): the façade-driven
-//!    search reproduces `crates/bench/golden/search_trace.txt` bit for bit.
+//!    [`ribbon_bench::perf`], the specs the golden runs below execute. File and harness
+//!    can therefore never drift apart silently.
+//! 2. **Full golden runs** (`--ignored`; CI's `release-differentials` job runs them in
+//!    release mode, where they take seconds instead of debug-mode minutes): the
+//!    façade-driven search, the online controller on the flash crowd and the fleet
+//!    planner and serve reproduce `crates/bench/golden/search_trace.txt`,
+//!    `online_trace.txt` and `fleet_trace.txt` bit for bit, the fleet trace at every
+//!    worker-shard count. These are the only checks of the three goldens; when one must
+//!    change, rewrite it by hand from the failing test's output.
 
 use ribbon::scenario::Scenario;
 use ribbon_bench::perf::{
-    hotpath_spec, online_spec, run_hotpath_search, trace_lines, HOTPATH_EVALUATIONS,
+    fleet_trace_lines, hotpath_spec, online_spec, online_trace_lines,
+    run_fleet_scenario_with_shards, run_hotpath_search, run_online_scenario, trace_lines,
+    HOTPATH_EVALUATIONS,
 };
 use std::path::PathBuf;
 
@@ -76,11 +82,11 @@ fn bundled_flash_crowd_scenario_is_the_perf_harness_twin() {
 }
 
 /// The full differential: façade-driven RIBBON search vs the pinned golden trace.
-/// Ignored by default because the hot-path scenario needs release-mode speed; CI runs
-/// the identical check through `perfsnap --check`. Run manually with
+/// Ignored by default, like the two golden runs below, because the scenarios need
+/// release-mode speed. Run them with
 /// `cargo test --release -p ribbon-bench --test scenario_golden -- --ignored`.
 #[test]
-#[ignore = "release-scale scenario; CI covers it via perfsnap --check"]
+#[ignore = "release-scale scenario; CI runs it in the release-differentials job"]
 fn facade_search_reproduces_the_golden_trace_bit_for_bit() {
     let golden_path = repo_root().join("crates/bench/golden/search_trace.txt");
     let golden = std::fs::read_to_string(&golden_path)
@@ -93,4 +99,38 @@ fn facade_search_reproduces_the_golden_trace_bit_for_bit() {
         lines.iter().map(String::as_str).collect::<Vec<_>>(),
         "façade-driven search diverged from the golden trace"
     );
+}
+
+/// The online controller's decision trace on the flash-crowd scenario vs the pinned golden.
+#[test]
+#[ignore = "release-scale scenario; CI runs it in the release-differentials job"]
+fn online_scenario_reproduces_the_golden_trace_bit_for_bit() {
+    let golden_path = repo_root().join("crates/bench/golden/online_trace.txt");
+    let golden = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
+    let lines = online_trace_lines(&run_online_scenario());
+    assert_eq!(
+        golden.lines().collect::<Vec<_>>(),
+        lines.iter().map(String::as_str).collect::<Vec<_>>(),
+        "online controller diverged from the golden trace"
+    );
+}
+
+/// The fleet planner's allocation and every member's decision trace vs the pinned golden,
+/// at the default worker-shard count and at 1, 2 and 4 shards: the serve drive must be
+/// bit-identical at every count.
+#[test]
+#[ignore = "release-scale scenario; CI runs it in the release-differentials job"]
+fn fleet_scenario_reproduces_the_golden_trace_at_every_shard_count() {
+    let golden_path = repo_root().join("crates/bench/golden/fleet_trace.txt");
+    let golden = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
+    for shards in [None, Some(1), Some(2), Some(4)] {
+        let lines = fleet_trace_lines(&run_fleet_scenario_with_shards(shards));
+        assert_eq!(
+            golden.lines().collect::<Vec<_>>(),
+            lines.iter().map(String::as_str).collect::<Vec<_>>(),
+            "fleet trace diverged from the golden at shards {shards:?}"
+        );
+    }
 }
