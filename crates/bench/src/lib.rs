@@ -1,6 +1,6 @@
 //! Shared infrastructure for the experiment binaries that regenerate the paper's tables and
-//! figures (`src/bin/fig*.rs`, `table*.rs`) and for the `perfsnap` snapshot harness
-//! ([`perf`]).
+//! figures (`src/bin/fig*.rs`, `table*.rs`), and the fixed scenarios behind the golden
+//! traces and the repository benchmark ([`perf`]).
 //!
 //! Every experiment binary prints a plain-text table with the same rows/series as the
 //! corresponding paper figure; EXPERIMENTS.md records the paper-vs-measured comparison.

@@ -1,25 +1,23 @@
-//! The fixed perf-trajectory scenarios shared by the `perfsnap` binary (which writes
-//! `BENCH_PR10.json`), the golden-trace tests and the repository benchmark (`perfbench/`).
+//! The fixed scenarios behind the golden-trace tests (`tests/scenario_golden.rs`) and the
+//! repository benchmark (`perfbench/`), and the golden-trace line formats both use.
 //!
-//! The scenario is deliberately *large* — six instance types, per-type bounds of 10
-//! (a ~1.77 M-point lattice), 20 000-query streams — so the hot paths PR 2 rebuilt
-//! (event-driven simulation, incremental GP fits, batched acquisition scans over a
-//! maintained open set) dominate the wall time the way they would in a production-scale
-//! deployment, rather than being hidden behind fixed costs.
+//! The hot-path search is deliberately *large* — six instance types, per-type bounds of
+//! 10 (a ~1.77 M-point lattice), 20 000-query streams — so the hot paths (event-driven
+//! simulation, incremental GP fits, batched acquisition scans over a maintained open set)
+//! dominate the wall time the way they would in a production-scale deployment, rather
+//! than being hidden behind fixed costs.
 //!
-//! Since PR 4 both scenarios are expressed as **declarative scenario specs** and executed
-//! through the [`ribbon::scenario`] façade — the same path `ribbon run` takes for the
-//! bundled `scenarios/mtwnd_hotpath_search.toml` and `scenarios/mtwnd_flash_crowd.toml`
-//! files. PR 5 adds the fleet-serving scenario (the twin of
-//! `scenarios/fleet_rec_duo_serve.toml`, executed through the [`ribbon::fleet`] layer).
-//! The golden traces pinned by `perfsnap --check` therefore pin the façades end to end:
-//! a behaviour change in spec compilation, the planner layers, *or* the search/serving
-//! engines shows up as a trace divergence.
+//! The search, online and fleet scenarios are **declarative specs** executed through the
+//! [`ribbon::scenario`] and [`ribbon::fleet`] façades, the same path `ribbon run` and
+//! `ribbon fleet` take for their bundled twins `scenarios/mtwnd_hotpath_search.toml`,
+//! `scenarios/mtwnd_flash_crowd.toml` and `scenarios/fleet_rec_duo_serve.toml`. The golden
+//! traces therefore pin the façades end to end: a behaviour change in spec compilation,
+//! the planner layers, *or* the search/serving engines shows up as a trace divergence.
+//! The streaming-scale inputs are perfbench's `serve-scale` workload.
 
-use ribbon::evaluator::{ConfigEvaluator, EvaluatorSettings};
 use ribbon::scenario::{
-    EvaluatorSpec, OnlineSpec, PlannerSpec, RunMode, ScenarioSpec, ServeReport, TierSpecDef,
-    TrafficSpec, WorkloadSpec,
+    EvaluatorSpec, OnlineSpec, PlannerSpec, RunMode, ScenarioSpec, ServeReport, TrafficSpec,
+    WorkloadSpec,
 };
 use ribbon::search::SearchTrace;
 use ribbon_cloudsim::dist::{ArrivalProcess, BatchDistribution};
@@ -28,7 +26,6 @@ use ribbon_cloudsim::{
     simulate_fleet_sharded, FleetModelConfig, FleetRunOutcome, InstanceType, PoolSpec, Query,
     StreamConfig, WindowConfig,
 };
-use ribbon_models::{ModelKind, Workload};
 
 /// Number of queries per simulated stream in the hot-path scenario.
 pub const HOTPATH_QUERIES: usize = 20_000;
@@ -44,34 +41,6 @@ pub const HOTPATH_SEED: u64 = 2;
 
 /// The six instance families of the hot-path pool, in dispatch-preference order.
 pub const HOTPATH_FAMILIES: [&str; 6] = ["g4dn", "c5", "c5a", "m5", "r5n", "t3"];
-
-/// The six-type MT-WND workload of the hot-path scenario: the Table 3 diverse pool widened
-/// with a second compute-optimized type and a general-purpose/burstable tail.
-pub fn hotpath_workload() -> Workload {
-    let mut w = Workload::standard(ModelKind::MtWnd);
-    w.diverse_pool = vec![
-        InstanceType::G4dn,
-        InstanceType::C5,
-        InstanceType::C5a,
-        InstanceType::M5,
-        InstanceType::R5n,
-        InstanceType::T3,
-    ];
-    w.num_queries = HOTPATH_QUERIES;
-    w
-}
-
-/// Builds the hot-path evaluator with explicit bounds (the bound probe is not what this
-/// scenario measures).
-pub fn hotpath_evaluator() -> ConfigEvaluator {
-    ConfigEvaluator::new(
-        &hotpath_workload(),
-        EvaluatorSettings {
-            explicit_bounds: Some(vec![HOTPATH_BOUND; 6]),
-            ..Default::default()
-        },
-    )
-}
 
 /// The hot-path search as a declarative scenario spec — the programmatic twin of
 /// `scenarios/mtwnd_hotpath_search.toml` (a test pins the two compiling identically).
@@ -115,98 +84,6 @@ pub fn run_hotpath_search() -> SearchTrace {
         .expect("the hot-path spec compiles");
     let report = scenario.run().expect("the hot-path search runs");
     report.plan.expect("plan mode fills the plan section").trace
-}
-
-/// Ask-batch size of the batched-search perf scenario.
-pub const BATCHED_SEARCH_BATCH: usize = 8;
-
-/// Multi-fidelity prefix fraction of the batched-search perf scenario.
-pub const BATCHED_SEARCH_FIDELITY: f64 = 0.25;
-
-/// The hot-path search with batched parallel asks and multi-fidelity successive halving:
-/// the same workload, lattice, budget, and seed as [`hotpath_spec`], with
-/// `[planner] batch` and `[planner] fidelity` set — the PR 7 tentpole configuration the
-/// `batched_search` snapshot section times against the one-at-a-time `bo_search` path.
-pub fn batched_hotpath_spec() -> ScenarioSpec {
-    let mut spec = hotpath_spec();
-    spec.name = "mtwnd-hotpath-batched".to_string();
-    spec.description =
-        "Six-type MT-WND hot-path search with batched asks and successive halving".to_string();
-    spec.planner.batch = Some(BATCHED_SEARCH_BATCH);
-    spec.planner.fidelity = Some(BATCHED_SEARCH_FIDELITY);
-    spec
-}
-
-/// Runs the batched hot-path search through the scenario façade (fresh evaluator per
-/// run, like [`run_hotpath_search`]) and returns its trace, including the estimate
-/// record and exact fidelity spend.
-pub fn run_batched_hotpath_search() -> SearchTrace {
-    let scenario = batched_hotpath_spec()
-        .compile()
-        .expect("the batched hot-path spec compiles");
-    let report = scenario.run().expect("the batched hot-path search runs");
-    report.plan.expect("plan mode fills the plan section").trace
-}
-
-/// Seed of the joint variant × pool search perf scenario.
-pub const VARIANT_SEARCH_SEED: u64 = 7;
-
-/// Evaluation budget of the variant-search scenario.
-pub const VARIANT_SEARCH_EVALUATIONS: usize = 80;
-
-/// The joint variant × pool search as a declarative spec — the programmatic twin of
-/// `scenarios/mtwnd_variant_plan.toml` (a test pins the two compiling identically).
-/// A three-entry variant palette doubles the lattice dimension to six
-/// (`[c_0..c_2, v_0..v_2]`), so this stage times the [`ribbon::VariantEvaluator`]
-/// joint search the PR 9 subsystem added: GP fits over the joint lattice, per-type
-/// variant speed factors in the simulated streams, and accuracy-floor filtering.
-pub fn variant_search_spec() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "mtwnd-variant-plan".to_string(),
-        description:
-            "MT-WND joint variant x pool search: mixed precision beats every single-variant plan"
-                .to_string(),
-        mode: RunMode::Plan,
-        seed: VARIANT_SEARCH_SEED,
-        catalog: None,
-        workload: WorkloadSpec {
-            model: "MT-WND".to_string(),
-            qps: Some(1700.0),
-            num_queries: Some(1500),
-            variants: Some(vec![
-                "fp32-b1".to_string(),
-                "fp16-b8".to_string(),
-                "int8-compiled".to_string(),
-            ]),
-            min_accuracy: Some(0.79),
-            ..Default::default()
-        },
-        qos: None,
-        qos_tiers: None,
-        planner: PlannerSpec {
-            name: "ribbon".to_string(),
-            budget: VARIANT_SEARCH_EVALUATIONS,
-            baseline: false,
-            ..Default::default()
-        },
-        evaluator: EvaluatorSpec {
-            bounds: Some(vec![3, 3, 3]),
-            ..Default::default()
-        },
-        traffic: None,
-        online: OnlineSpec::default(),
-    }
-}
-
-/// Runs the joint variant × pool search through the scenario façade (fresh evaluator per
-/// run, like [`run_hotpath_search`]) and returns the full plan section — cost, chosen
-/// per-type variants, worst served accuracy, and the trace.
-pub fn run_variant_search() -> ribbon::scenario::PlanReport {
-    let scenario = variant_search_spec()
-        .compile()
-        .expect("the variant-search spec compiles");
-    let report = scenario.run().expect("the variant search runs");
-    report.plan.expect("plan mode fills the plan section")
 }
 
 /// Seed of the online-serving scenario (bootstrap search + controller replans).
@@ -262,92 +139,6 @@ pub fn online_spec() -> ScenarioSpec {
 pub fn run_online_scenario() -> ServeReport {
     let scenario = online_spec().compile().expect("the online spec compiles");
     let report = scenario.run().expect("the online scenario serves");
-    report.serve.expect("serve mode fills the serve section")
-}
-
-/// Seed of the tiered flash-crowd serve scenario (PR 10).
-pub const TIERED_SEED: u64 = 7;
-
-/// Simulated duration of the tiered serve scenario in seconds.
-pub const TIERED_DURATION_S: f64 = 60.0;
-
-/// The tiered QoS serve scenario: the flash-crowd trace of [`online_spec`] with the
-/// stream split into premium (20 %), standard (50 %), and best-effort batch (30 %,
-/// 10 ms admission cap) tiers. The programmatic twin of
-/// `scenarios/mtwnd_tiered_flash.toml`; the per-tier outcome (premium shielded every
-/// window, best-effort shedding at admission) is the pinned behaviour.
-pub fn tiered_online_spec() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "mtwnd-tiered-flash".to_string(),
-        description: "MT-WND tiered serving through a flash crowd; best-effort absorbs the surge"
-            .to_string(),
-        mode: RunMode::Serve,
-        seed: TIERED_SEED,
-        catalog: None,
-        workload: WorkloadSpec {
-            model: "MT-WND".to_string(),
-            ..Default::default()
-        },
-        qos: None,
-        qos_tiers: Some(vec![
-            TierSpecDef {
-                name: "premium".to_string(),
-                class: "premium".to_string(),
-                weight: Some(3.0),
-                share: 0.2,
-                target_rate: None,
-                latency_ms: None,
-                admission_cap_ms: None,
-            },
-            TierSpecDef {
-                name: "standard".to_string(),
-                class: "standard".to_string(),
-                weight: Some(1.0),
-                share: 0.5,
-                target_rate: None,
-                latency_ms: None,
-                admission_cap_ms: None,
-            },
-            TierSpecDef {
-                name: "batch".to_string(),
-                class: "best_effort".to_string(),
-                weight: Some(0.0),
-                share: 0.3,
-                target_rate: None,
-                latency_ms: None,
-                admission_cap_ms: Some(10.0),
-            },
-        ]),
-        planner: PlannerSpec {
-            name: "ribbon".to_string(),
-            budget: 30,
-            ..Default::default()
-        },
-        evaluator: EvaluatorSpec {
-            bounds: Some(vec![7, 4, 7]),
-            ..Default::default()
-        },
-        traffic: Some(TrafficSpec {
-            scenario: Some("flash-crowd".to_string()),
-            phases: None,
-            duration_s: Some(TIERED_DURATION_S),
-        }),
-        online: OnlineSpec {
-            window_s: Some(2.0),
-            spin_up_factor: Some(0.5),
-            planning_queries: Some(2500),
-            ..Default::default()
-        },
-    }
-}
-
-/// Runs the tiered serve scenario through the façade, returning the serve section with
-/// its per-tier rows (served/satisfaction/drops/preemptions per tier).
-pub fn run_tiered_scenario() -> ServeReport {
-    let scenario = tiered_online_spec()
-        .compile()
-        .expect("the tiered spec compiles");
-    let report = scenario.run().expect("the tiered scenario serves");
     report.serve.expect("serve mode fills the serve section")
 }
 
@@ -468,14 +259,10 @@ pub fn fleet_spec() -> ribbon::fleet::FleetSpec {
     }
 }
 
-/// Runs the fleet-serving scenario end to end (joint plan + merged-stream serve).
-pub fn run_fleet_scenario() -> ribbon::fleet::FleetReport {
-    run_fleet_scenario_with_shards(None)
-}
-
-/// Runs the fleet-serving scenario with an explicit worker-shard override — the serve
-/// drive is bit-identical at every shard count, which `perfsnap --check` re-verifies
-/// against the golden fleet trace at shards 1, 2, and 4.
+/// Runs the fleet-serving scenario end to end (joint plan + merged-stream serve), with an
+/// optional worker-shard override. The serve drive is bit-identical at every shard count;
+/// `tests/scenario_golden.rs` checks the golden fleet trace at the default count and at
+/// shards 1, 2 and 4.
 pub fn run_fleet_scenario_with_shards(shards: Option<usize>) -> ribbon::fleet::FleetReport {
     let mut spec = fleet_spec();
     spec.shards = shards;
@@ -618,8 +405,8 @@ pub fn fleet_trace_lines(report: &ribbon::fleet::FleetReport) -> Vec<String> {
     lines
 }
 
-/// The golden-trace line format used by `perfsnap --check`: one evaluation per line,
-/// objective recorded as exact bits so cross-machine comparison is bit-for-bit.
+/// Golden-trace lines of a search: one evaluation per line, objective recorded as exact
+/// bits so cross-machine comparison is bit-for-bit.
 pub fn trace_lines(trace: &SearchTrace) -> Vec<String> {
     trace
         .evaluations()
@@ -639,10 +426,12 @@ pub fn trace_lines(trace: &SearchTrace) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ribbon::evaluator::{ConfigEvaluator, EvaluatorSettings};
+    use ribbon_models::{ModelKind, Workload};
 
     #[test]
     fn hotpath_scenario_meets_the_issue_floor() {
-        let w = hotpath_workload();
+        let w = hotpath_spec().compile().unwrap().workload;
         assert!(w.diverse_pool.len() >= 6, "at least six instance types");
         assert!(w.num_queries >= 20_000, "at least 20k queries");
         const {
@@ -653,7 +442,17 @@ mod tests {
     #[test]
     fn hotpath_spec_compiles_to_the_historical_constructor_arguments() {
         let scenario = hotpath_spec().compile().unwrap();
-        assert_eq!(scenario.workload, hotpath_workload());
+        let mut workload = Workload::standard(ModelKind::MtWnd);
+        workload.diverse_pool = vec![
+            InstanceType::G4dn,
+            InstanceType::C5,
+            InstanceType::C5a,
+            InstanceType::M5,
+            InstanceType::R5n,
+            InstanceType::T3,
+        ];
+        workload.num_queries = HOTPATH_QUERIES;
+        assert_eq!(scenario.workload, workload);
         assert_eq!(
             scenario.evaluator_settings.explicit_bounds,
             Some(vec![HOTPATH_BOUND; 6])
@@ -698,29 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn variant_spec_is_the_twin_of_the_bundled_file() {
-        let path = "../../scenarios/mtwnd_variant_plan.toml";
-        let mut bundled = ribbon::scenario::Scenario::load(path)
-            .expect("bundled file loads")
-            .spec;
-        bundled.catalog = None;
-        assert_eq!(bundled, variant_search_spec());
-    }
-
-    #[test]
-    fn tiered_spec_is_the_twin_of_the_bundled_file() {
-        let path = "../../scenarios/mtwnd_tiered_flash.toml";
-        let mut bundled = ribbon::scenario::Scenario::load(path)
-            .expect("bundled file loads")
-            .spec;
-        bundled.catalog = None;
-        assert_eq!(bundled, tiered_online_spec());
-    }
-
-    #[test]
     fn trace_lines_round_trip_the_objective_bits() {
         let mut trace = SearchTrace::new("X");
-        let mut w = hotpath_workload();
+        let mut w = hotpath_spec().compile().unwrap().workload;
         w.num_queries = 300;
         let ev = ConfigEvaluator::new(
             &w,

@@ -92,7 +92,7 @@ pub(crate) struct Dispatch {
 /// The lowest rank whose clock is at or before the arrival starts the query at the
 /// arrival. Otherwise the slot minimising `(clock, rank)` starts it at its clock, so
 /// exactly equal clocks break toward the earlier type and a clock earlier by a single
-/// ULP wins (see [`crate::sim::reference`]). Ranks equal slot indices until the first
+/// ULP wins (see the [`crate::sim`] module docs). Ranks equal slot indices until the first
 /// [`SlotQueue::reorder`], which re-ranks the surviving and launched slots; retired
 /// slots leave the queue.
 ///

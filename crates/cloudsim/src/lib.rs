@@ -13,8 +13,8 @@
 //!   first available instance following the pool's type order, as described in Sec. 5.1,
 //!   dispatched in O(log N) per query by the min-tree slot queue every serving path shares
 //!   (see the [`sim`] module docs), with a lean aggregate-statistics fast path
-//!   ([`simulate_stats`]) and the O(Q·N) reference scan kept as a differential oracle
-//!   ([`sim::reference`]);
+//!   ([`simulate_stats`]), held to the O(Q·N) reference scan of
+//!   `tests/simulator_differential.rs`;
 //! * **metrics** ([`metrics`]) — mean/percentile latency, QoS satisfaction rate, throughput,
 //!   and cost accounting;
 //! * **phased traffic** ([`phased`]) — piecewise-constant (diurnal / spike / ramp / step)

@@ -19,10 +19,12 @@
 //! fleet router dispatch through the same queue.
 //!
 //! Queries must arrive in non-decreasing order (checked with a debug assertion). Start-time
-//! ties are broken by *bit-exact* float equality of `free_at` (see
-//! [`reference`](mod@reference) for why the historical epsilon tolerance was removed). The
-//! differential suite in `tests/simulator_differential.rs` holds the queue to
-//! [`reference::simulate`].
+//! ties are broken by *bit-exact* float equality of `free_at`: a later type wins only with
+//! a strictly earlier start, by any margin, even one ULP. A historical epsilon tolerance
+//! (`start < best_start - 1e-12`) treated near-ties as ties; that relation is not
+//! transitive, so no total order, and therefore no priority queue, can reproduce it. The
+//! differential suite in `tests/simulator_differential.rs` holds the queue to the O(Q·N)
+//! reference scan it replaced.
 //!
 //! [`simulate`] records the full per-query trace ([`SimResult`]); [`simulate_stats`] is the
 //! lean fast path used by the Ribbon evaluator — same scheduler, but it accumulates
@@ -142,8 +144,8 @@ where
 /// Simulates serving `queries` (which must be sorted by arrival time) on `pool` under the
 /// given latency model, recording the full per-query trace.
 ///
-/// Produces results bit-identical to the O(Q·N) reference scan ([`reference::simulate`])
-/// while running in O(Q·log N). Callers that only need aggregate statistics should use
+/// Produces results bit-identical to the O(Q·N) reference scan of
+/// `tests/simulator_differential.rs` while running in O(Q·log N). Callers that only need aggregate statistics should use
 /// [`simulate_stats`], which skips the per-query trace allocations.
 ///
 /// # Panics
@@ -265,75 +267,6 @@ pub fn simulate_stats<M: LatencyModel + ?Sized>(
         mean_latency_s,
         tail_latency_s,
         makespan,
-    }
-}
-
-/// The original O(Q·N) linear-scan scheduler, kept as the differential-testing oracle for
-/// the event-driven implementation (and as the measurable "before" in `perfsnap`).
-pub mod reference {
-    use super::*;
-
-    /// Reference implementation of [`super::simulate`]: a full scan over `free_at` per
-    /// query.
-    ///
-    /// # Tie semantics
-    ///
-    /// The dispatch target is the instance minimizing `(start, index)` lexicographically,
-    /// with ties broken by **bit-exact** float equality: an instance later in the type
-    /// order is preferred only when its start time is *strictly* smaller (by any margin,
-    /// even one ULP). A historical version used an epsilon tolerance
-    /// (`start < best_start - 1e-12`), treating near-ties as ties; that relation is not
-    /// transitive, so no total order — and therefore no priority queue — can reproduce
-    /// it. Exact comparison is the semantics both implementations share and the
-    /// differential suite pins down.
-    pub fn simulate<M: LatencyModel + ?Sized>(
-        pool: &PoolSpec,
-        queries: &[Query],
-        model: &M,
-    ) -> SimResult {
-        let instances = serving_instances(pool);
-
-        let mut free_at = vec![0.0_f64; instances.len()];
-        let mut per_instance_load = vec![0u64; instances.len()];
-        let mut latencies = Vec::with_capacity(queries.len());
-        let mut batch_sizes = Vec::with_capacity(queries.len());
-        let mut assigned = Vec::with_capacity(queries.len());
-        let mut makespan = 0.0_f64;
-
-        for q in queries {
-            // Pick the instance that can start this query earliest; exactly equal start
-            // times go to the earlier position in the pool's type order (Table 3 order).
-            let mut best_idx = 0usize;
-            let mut best_start = f64::INFINITY;
-            for (idx, &free) in free_at.iter().enumerate() {
-                let start = free.max(q.arrival);
-                if start < best_start {
-                    best_start = start;
-                    best_idx = idx;
-                }
-            }
-            let service = model
-                .service_time(instances[best_idx], q.batch_size)
-                .max(0.0);
-            let completion = best_start + service;
-            free_at[best_idx] = completion;
-            per_instance_load[best_idx] += 1;
-            latencies.push(completion - q.arrival);
-            batch_sizes.push(q.batch_size);
-            assigned.push(best_idx);
-            if completion > makespan {
-                makespan = completion;
-            }
-        }
-
-        SimResult {
-            pool: pool.clone(),
-            latencies,
-            batch_sizes,
-            assigned_instance: assigned,
-            per_instance_load,
-            makespan,
-        }
     }
 }
 
@@ -536,80 +469,6 @@ mod tests {
         assert_eq!(total, 2000);
         assert_eq!(r.assigned_instance.len(), 2000);
         assert!(r.assigned_instance.iter().all(|&i| i < 4));
-    }
-
-    #[test]
-    fn heap_scheduler_matches_reference_scan_bitwise() {
-        let model = FnLatencyModel::new("mixed", |ty, b| match ty {
-            InstanceType::G4dn => 0.004 + 4e-5 * b as f64,
-            InstanceType::C5 => 0.006 + 1.2e-4 * b as f64,
-            _ => 0.004 + 45e-5 * b as f64,
-        });
-        for seed in [1u64, 7, 42] {
-            let cfg = StreamConfig {
-                arrivals: ArrivalProcess::Poisson { qps: 600.0 },
-                batches: BatchDistribution::default_heavy_tail(32.0, 256),
-                num_queries: 3000,
-                seed,
-            };
-            let queries = cfg.generate();
-            let pool = PoolSpec::new(
-                vec![InstanceType::G4dn, InstanceType::C5, InstanceType::T3],
-                vec![2, 3, 4],
-            );
-            let fast = simulate(&pool, &queries, &model);
-            let slow = reference::simulate(&pool, &queries, &model);
-            assert_eq!(fast.latencies, slow.latencies, "seed {seed}");
-            assert_eq!(
-                fast.assigned_instance, slow.assigned_instance,
-                "seed {seed}"
-            );
-            assert_eq!(fast.per_instance_load, slow.per_instance_load);
-            assert_eq!(fast.batch_sizes, slow.batch_sizes);
-            assert_eq!(fast.makespan, slow.makespan);
-        }
-    }
-
-    #[test]
-    fn exactly_equal_free_times_tie_to_the_earlier_type() {
-        // Two identical-speed instances: after each round both free at bit-identical
-        // times, so every dispatch with both idle or both busy must pick index order.
-        let pool = PoolSpec::new(vec![InstanceType::G4dn, InstanceType::T3], vec![1, 1]);
-        let model = constant_model(0.010);
-        let queries = queries_at(&[0.0, 0.0, 0.010, 0.010, 0.020, 0.020], 8);
-        let r = simulate(&pool, &queries, &model);
-        assert_eq!(r.assigned_instance, vec![0, 1, 0, 1, 0, 1]);
-        let s = reference::simulate(&pool, &queries, &model);
-        assert_eq!(r.assigned_instance, s.assigned_instance);
-    }
-
-    #[test]
-    fn one_ulp_earlier_start_wins_over_type_order() {
-        // The later-type instance frees one ULP earlier than the earlier type: under
-        // bit-exact tie semantics the strictly earlier start must win in BOTH
-        // implementations, even though the margin is far below the old 1e-12 epsilon.
-        let early = 1.0_f64;
-        let late = f64::from_bits(early.to_bits() + 1); // 1.0 + 1 ULP
-        let model = FnLatencyModel::new("ulp", move |ty, _| {
-            if ty == InstanceType::G4dn {
-                late
-            } else {
-                early
-            }
-        });
-        let pool = PoolSpec::new(vec![InstanceType::G4dn, InstanceType::T3], vec![1, 1]);
-        // Queries 0 and 1 occupy both instances; query 2 arrives while both are busy.
-        let queries = queries_at(&[0.0, 0.0, 0.5], 8);
-        let r = simulate(&pool, &queries, &model);
-        let s = reference::simulate(&pool, &queries, &model);
-        assert_eq!(
-            r.assigned_instance, s.assigned_instance,
-            "dispatcher and scan must agree on sub-epsilon margins"
-        );
-        assert_eq!(
-            r.assigned_instance[2], 1,
-            "the strictly (1 ULP) earlier t3 must win the third query"
-        );
     }
 
     #[test]

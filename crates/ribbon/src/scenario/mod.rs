@@ -18,7 +18,7 @@
 //!
 //! The façade is a *veneer*: compiling a spec produces exactly the constructor calls the
 //! pre-façade code made, so a RIBBON plan run from a spec file reproduces the golden
-//! search traces bit for bit (pinned by `perfsnap --check` and the scenario test suite).
+//! search traces bit for bit (pinned by `crates/bench/tests/scenario_golden.rs`).
 //!
 //! # Example
 //!

@@ -3,8 +3,8 @@
 //! compile; `data/catalog.toml` must equal the engine's built-in catalog; and malformed
 //! files must fail with actionable, path-tagged errors.
 //!
-//! (The bit-for-bit golden-trace differential for the façade lives in
-//! `crates/bench/tests/scenario_golden.rs` and in CI's `perfsnap --check`.)
+//! (The bit-for-bit golden-trace differentials for the façade live in
+//! `crates/bench/tests/scenario_golden.rs`.)
 
 use ribbon::scenario::{RunMode, Scenario, ScenarioError, ScenarioSpec};
 use ribbon_cloudsim::Catalog;

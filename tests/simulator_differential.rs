@@ -1,8 +1,8 @@
 //! Differential suite for the event-driven simulator rewrite: the heap scheduler
 //! ([`ribbon_cloudsim::simulate`]) and the lean stats path
 //! ([`ribbon_cloudsim::simulate_stats`]) must be bit-identical to the O(Q·N) reference scan
-//! ([`ribbon_cloudsim::sim::reference`]) — on hand-built pools, on random pools/streams
-//! (proptest), and on every configuration visited by each search strategy.
+//! ([`reference_simulate`]) — on hand-built pools, on random pools/streams (proptest),
+//! and on every configuration visited by each search strategy.
 
 use proptest::prelude::*;
 use ribbon::evaluator::{ConfigEvaluator, EvaluatorSettings};
@@ -10,10 +10,75 @@ use ribbon::search::SearchTrace;
 use ribbon::strategies::{HillClimbSearch, RandomSearch, ResponseSurfaceSearch, SearchStrategy};
 use ribbon::{RibbonSearch, RibbonSettings};
 use ribbon_cloudsim::dist::{ArrivalProcess, BatchDistribution};
-use ribbon_cloudsim::{sim, simulate, simulate_stats, PoolSpec, Query, StreamConfig};
-use ribbon_cloudsim::{InstanceType, ALL_INSTANCE_TYPES};
+use ribbon_cloudsim::latency::FnLatencyModel;
+use ribbon_cloudsim::{simulate, simulate_stats, LatencyModel, PoolSpec, Query, SimResult};
+use ribbon_cloudsim::{InstanceType, StreamConfig, ALL_INSTANCE_TYPES};
 use ribbon_gp::FitConfig;
 use ribbon_models::{ModelKind, Workload};
+
+/// The original O(Q·N) linear-scan scheduler: the differential oracle of
+/// [`ribbon_cloudsim::simulate`], a full scan over `free_at` per query.
+///
+/// # Tie semantics
+///
+/// The dispatch target is the instance minimizing `(start, index)` lexicographically,
+/// with ties broken by **bit-exact** float equality: an instance later in the type
+/// order is preferred only when its start time is *strictly* smaller (by any margin,
+/// even one ULP). A historical version used an epsilon tolerance
+/// (`start < best_start - 1e-12`), treating near-ties as ties; that relation is not
+/// transitive, so no total order — and therefore no priority queue — can reproduce
+/// it. Exact comparison is the semantics both implementations share and this suite
+/// pins down.
+fn reference_simulate<M: LatencyModel + ?Sized>(
+    pool: &PoolSpec,
+    queries: &[Query],
+    model: &M,
+) -> SimResult {
+    let instances = pool.expand();
+    assert!(!instances.is_empty(), "cannot simulate an empty pool");
+
+    let mut free_at = vec![0.0_f64; instances.len()];
+    let mut per_instance_load = vec![0u64; instances.len()];
+    let mut latencies = Vec::with_capacity(queries.len());
+    let mut batch_sizes = Vec::with_capacity(queries.len());
+    let mut assigned = Vec::with_capacity(queries.len());
+    let mut makespan = 0.0_f64;
+
+    for q in queries {
+        // Pick the instance that can start this query earliest; exactly equal start
+        // times go to the earlier position in the pool's type order (Table 3 order).
+        let mut best_idx = 0usize;
+        let mut best_start = f64::INFINITY;
+        for (idx, &free) in free_at.iter().enumerate() {
+            let start = free.max(q.arrival);
+            if start < best_start {
+                best_start = start;
+                best_idx = idx;
+            }
+        }
+        let service = model
+            .service_time(instances[best_idx], q.batch_size)
+            .max(0.0);
+        let completion = best_start + service;
+        free_at[best_idx] = completion;
+        per_instance_load[best_idx] += 1;
+        latencies.push(completion - q.arrival);
+        batch_sizes.push(q.batch_size);
+        assigned.push(best_idx);
+        if completion > makespan {
+            makespan = completion;
+        }
+    }
+
+    SimResult {
+        pool: pool.clone(),
+        latencies,
+        batch_sizes,
+        assigned_instance: assigned,
+        per_instance_load,
+        makespan,
+    }
+}
 
 fn small_workload() -> Workload {
     let mut w = Workload::standard(ModelKind::MtWnd);
@@ -39,7 +104,7 @@ fn assert_trace_matches_reference(trace: &SearchTrace, workload: &Workload) {
     let queries = workload.stream_config().generate();
     for e in trace.evaluations() {
         let pool = PoolSpec::from_counts(&workload.diverse_pool, &e.config);
-        let oracle = sim::reference::simulate(&pool, &queries, &profile);
+        let oracle = reference_simulate(&pool, &queries, &profile);
         assert_eq!(
             Some(e.satisfaction_rate),
             oracle.satisfaction_rate(workload.qos.latency_target_s),
@@ -85,6 +150,97 @@ fn baseline_strategy_metrics_match_the_reference_scan() {
     }
 }
 
+/// Constant service time regardless of instance or batch.
+fn constant_model(seconds: f64) -> FnLatencyModel<impl Fn(InstanceType, u32) -> f64> {
+    FnLatencyModel::new("const", move |_, _| seconds)
+}
+
+fn queries_at(times: &[f64], batch: u32) -> Vec<Query> {
+    times
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| Query {
+            id: i as u64,
+            arrival: t,
+            batch_size: batch,
+        })
+        .collect()
+}
+
+#[test]
+fn heap_scheduler_matches_reference_scan_bitwise() {
+    let model = FnLatencyModel::new("mixed", |ty, b| match ty {
+        InstanceType::G4dn => 0.004 + 4e-5 * b as f64,
+        InstanceType::C5 => 0.006 + 1.2e-4 * b as f64,
+        _ => 0.004 + 45e-5 * b as f64,
+    });
+    for seed in [1u64, 7, 42] {
+        let cfg = StreamConfig {
+            arrivals: ArrivalProcess::Poisson { qps: 600.0 },
+            batches: BatchDistribution::default_heavy_tail(32.0, 256),
+            num_queries: 3000,
+            seed,
+        };
+        let queries = cfg.generate();
+        let pool = PoolSpec::new(
+            vec![InstanceType::G4dn, InstanceType::C5, InstanceType::T3],
+            vec![2, 3, 4],
+        );
+        let fast = simulate(&pool, &queries, &model);
+        let slow = reference_simulate(&pool, &queries, &model);
+        assert_eq!(fast.latencies, slow.latencies, "seed {seed}");
+        assert_eq!(
+            fast.assigned_instance, slow.assigned_instance,
+            "seed {seed}"
+        );
+        assert_eq!(fast.per_instance_load, slow.per_instance_load);
+        assert_eq!(fast.batch_sizes, slow.batch_sizes);
+        assert_eq!(fast.makespan, slow.makespan);
+    }
+}
+
+#[test]
+fn exactly_equal_free_times_tie_to_the_earlier_type() {
+    // Two identical-speed instances: after each round both free at bit-identical
+    // times, so every dispatch with both idle or both busy must pick index order.
+    let pool = PoolSpec::new(vec![InstanceType::G4dn, InstanceType::T3], vec![1, 1]);
+    let model = constant_model(0.010);
+    let queries = queries_at(&[0.0, 0.0, 0.010, 0.010, 0.020, 0.020], 8);
+    let r = simulate(&pool, &queries, &model);
+    assert_eq!(r.assigned_instance, vec![0, 1, 0, 1, 0, 1]);
+    let s = reference_simulate(&pool, &queries, &model);
+    assert_eq!(r.assigned_instance, s.assigned_instance);
+}
+
+#[test]
+fn one_ulp_earlier_start_wins_over_type_order() {
+    // The later-type instance frees one ULP earlier than the earlier type: under
+    // bit-exact tie semantics the strictly earlier start must win in BOTH
+    // implementations, even though the margin is far below the old 1e-12 epsilon.
+    let early = 1.0_f64;
+    let late = f64::from_bits(early.to_bits() + 1); // 1.0 + 1 ULP
+    let model = FnLatencyModel::new("ulp", move |ty, _| {
+        if ty == InstanceType::G4dn {
+            late
+        } else {
+            early
+        }
+    });
+    let pool = PoolSpec::new(vec![InstanceType::G4dn, InstanceType::T3], vec![1, 1]);
+    // Queries 0 and 1 occupy both instances; query 2 arrives while both are busy.
+    let queries = queries_at(&[0.0, 0.0, 0.5], 8);
+    let r = simulate(&pool, &queries, &model);
+    let s = reference_simulate(&pool, &queries, &model);
+    assert_eq!(
+        r.assigned_instance, s.assigned_instance,
+        "dispatcher and scan must agree on sub-epsilon margins"
+    );
+    assert_eq!(
+        r.assigned_instance[2], 1,
+        "the strictly (1 ULP) earlier t3 must win the third query"
+    );
+}
+
 fn query_stream(qps: f64, n: usize, seed: u64) -> Vec<Query> {
     StreamConfig {
         arrivals: ArrivalProcess::Poisson { qps },
@@ -123,7 +279,7 @@ proptest! {
         let profile = ribbon_models::ModelProfile::new(ModelKind::MtWnd);
 
         let fast = simulate(&pool, &queries, &profile);
-        let slow = sim::reference::simulate(&pool, &queries, &profile);
+        let slow = reference_simulate(&pool, &queries, &profile);
         prop_assert_eq!(&fast.latencies, &slow.latencies);
         prop_assert_eq!(&fast.assigned_instance, &slow.assigned_instance);
         prop_assert_eq!(&fast.per_instance_load, &slow.per_instance_load);
@@ -164,7 +320,7 @@ proptest! {
         let profile = ribbon_models::ModelProfile::new(ModelKind::MtWnd);
 
         let fast = simulate(&pool, &queries, &profile);
-        let slow = sim::reference::simulate(&pool, &queries, &profile);
+        let slow = reference_simulate(&pool, &queries, &profile);
         prop_assert_eq!(&fast.latencies, &slow.latencies, "size {}", size);
         prop_assert_eq!(&fast.assigned_instance, &slow.assigned_instance, "size {}", size);
         prop_assert_eq!(fast.makespan, slow.makespan);
