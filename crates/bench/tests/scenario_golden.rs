@@ -81,6 +81,18 @@ fn bundled_flash_crowd_scenario_is_the_perf_harness_twin() {
     assert_eq!(a.spin_up_factor, b.spin_up_factor);
 }
 
+/// Asserts that `lines` equal `crates/bench/golden/<name>` line for line.
+fn assert_golden(name: &str, lines: &[String], what: &str) {
+    let path = repo_root().join("crates/bench/golden").join(name);
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(
+        golden.lines().collect::<Vec<_>>(),
+        lines.iter().map(String::as_str).collect::<Vec<_>>(),
+        "{what} diverged from the golden trace {name}"
+    );
+}
+
 /// The full differential: façade-driven RIBBON search vs the pinned golden trace.
 /// Ignored by default, like the two golden runs below, because the scenarios need
 /// release-mode speed. Run them with
@@ -88,16 +100,12 @@ fn bundled_flash_crowd_scenario_is_the_perf_harness_twin() {
 #[test]
 #[ignore = "release-scale scenario; CI runs it in the release-differentials job"]
 fn facade_search_reproduces_the_golden_trace_bit_for_bit() {
-    let golden_path = repo_root().join("crates/bench/golden/search_trace.txt");
-    let golden = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
     let trace = run_hotpath_search();
     assert_eq!(trace.len(), HOTPATH_EVALUATIONS);
-    let lines = trace_lines(&trace);
-    assert_eq!(
-        golden.lines().collect::<Vec<_>>(),
-        lines.iter().map(String::as_str).collect::<Vec<_>>(),
-        "façade-driven search diverged from the golden trace"
+    assert_golden(
+        "search_trace.txt",
+        &trace_lines(&trace),
+        "façade-driven search",
     );
 }
 
@@ -105,15 +113,8 @@ fn facade_search_reproduces_the_golden_trace_bit_for_bit() {
 #[test]
 #[ignore = "release-scale scenario; CI runs it in the release-differentials job"]
 fn online_scenario_reproduces_the_golden_trace_bit_for_bit() {
-    let golden_path = repo_root().join("crates/bench/golden/online_trace.txt");
-    let golden = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
     let lines = online_trace_lines(&run_online_scenario());
-    assert_eq!(
-        golden.lines().collect::<Vec<_>>(),
-        lines.iter().map(String::as_str).collect::<Vec<_>>(),
-        "online controller diverged from the golden trace"
-    );
+    assert_golden("online_trace.txt", &lines, "online controller");
 }
 
 /// The fleet planner's allocation and every member's decision trace vs the pinned golden,
@@ -122,15 +123,12 @@ fn online_scenario_reproduces_the_golden_trace_bit_for_bit() {
 #[test]
 #[ignore = "release-scale scenario; CI runs it in the release-differentials job"]
 fn fleet_scenario_reproduces_the_golden_trace_at_every_shard_count() {
-    let golden_path = repo_root().join("crates/bench/golden/fleet_trace.txt");
-    let golden = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
     for shards in [None, Some(1), Some(2), Some(4)] {
         let lines = fleet_trace_lines(&run_fleet_scenario_with_shards(shards));
-        assert_eq!(
-            golden.lines().collect::<Vec<_>>(),
-            lines.iter().map(String::as_str).collect::<Vec<_>>(),
-            "fleet trace diverged from the golden at shards {shards:?}"
+        assert_golden(
+            "fleet_trace.txt",
+            &lines,
+            &format!("fleet at shards {shards:?}"),
         );
     }
 }
