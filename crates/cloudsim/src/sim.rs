@@ -20,11 +20,9 @@
 //!
 //! Queries must arrive in non-decreasing order (checked with a debug assertion). Start-time
 //! ties are broken by *bit-exact* float equality of `free_at`: a later type wins only with
-//! a strictly earlier start, by any margin, even one ULP. A historical epsilon tolerance
-//! (`start < best_start - 1e-12`) treated near-ties as ties; that relation is not
-//! transitive, so no total order, and therefore no priority queue, can reproduce it. The
-//! differential suite in `tests/simulator_differential.rs` holds the queue to the O(Q·N)
-//! reference scan it replaced.
+//! a strictly earlier start, by any margin, even one ULP. The differential suite in
+//! `tests/simulator_differential.rs` holds the queue to the O(Q·N) reference scan it
+//! replaced, whose docs say why the historical epsilon tolerance was removed.
 //!
 //! [`simulate`] records the full per-query trace ([`SimResult`]); [`simulate_stats`] is the
 //! lean fast path used by the Ribbon evaluator — same scheduler, but it accumulates
@@ -145,8 +143,9 @@ where
 /// given latency model, recording the full per-query trace.
 ///
 /// Produces results bit-identical to the O(Q·N) reference scan of
-/// `tests/simulator_differential.rs` while running in O(Q·log N). Callers that only need aggregate statistics should use
-/// [`simulate_stats`], which skips the per-query trace allocations.
+/// `tests/simulator_differential.rs` while running in O(Q·log N). Callers that only need
+/// aggregate statistics should use [`simulate_stats`], which skips the per-query trace
+/// allocations.
 ///
 /// # Panics
 /// Panics if the pool is empty (no instances) — an empty pool cannot serve queries.
